@@ -66,24 +66,12 @@ def extract_system(pp: PhiPolynomial) -> CoefficientSystem:
         poly = pp.coefficients[d]
         if poly.is_zero:
             continue
-        mono = poly.monomial_content(params)
-        if mono:
-            poly = poly.divide_monomial(mono)
-        c = poly.rational_content() * poly.leading_sign()
-        poly = poly.divide_const(c)
+        poly, (c, mono) = poly.primitive(params)
         equations.append((d, poly))
         factor = (f"{c}" if c != 1 else "") + ("*" if c != 1 and mono else "") + \
                  (mono_str(mono) if mono else "")
         cleared.append((d, factor or "1"))
     return CoefficientSystem(tuple(equations), pp.unknowns, pp.parameters, tuple(cleared))
-
-
-def _normalize_constraint(poly: Poly, params) -> Poly:
-    mono = poly.monomial_content(set(params))
-    if mono:
-        poly = poly.divide_monomial(mono)
-    c = poly.rational_content() * poly.leading_sign()
-    return poly.divide_const(c)
 
 
 def _subs_assignment(poly: Poly, unknown: str, value: RationalFn) -> Poly:
@@ -138,9 +126,13 @@ def _solve_state(equations, unknowns, parameters, assignments, constraints,
         if not (poly.symbols() & set(unknowns)):
             if poly.is_zero:
                 continue
+            # parameters are generic (nonzero), so their monomial content
+            # goes first: a nonzero constant or a bare parameter monomial
+            # can never vanish, and the branch dies
+            poly, _ = poly.primitive(parameters)
             if poly.is_constant:
-                return  # contradiction: nonzero constant, branch dies
-            constraints = constraints + [_normalize_constraint(poly, parameters)]
+                return
+            constraints = constraints + [poly]
         else:
             pending.append((power, poly))
     if not pending:
@@ -152,7 +144,9 @@ def _solve_state(equations, unknowns, parameters, assignments, constraints,
                     div = c.try_divide(dp)
                     if div is None:
                         break
-                    c = _normalize_constraint(div, parameters)
+                    c, _ = div.primitive(parameters)
+            if c.is_constant:
+                return  # c = 0 would force a nonzero denominator to vanish
             final.append(c)
         results.append(Branch(_resolve_assignments(assignments), _dedupe(final),
                               _dedupe(denominators), provenance))

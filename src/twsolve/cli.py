@@ -1,5 +1,6 @@
-"""Command-line entry point: built-in PDE registry, end-to-end solve/verify
-pipelines, figure-data emission, and special-function tabulation.
+"""Command-line entry point: built-in PDE registry, input validation, JSON
+logs of `pipeline.run` for solve/verify, figure-data emission, and
+special-function tabulation.
 """
 from __future__ import annotations
 
@@ -9,32 +10,42 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import travelling_wave as tw
-from .algebra_system import extract_system, solve_triangular
-from .pde_ast import parse_pde, print_pde
-from .phi_calculus import Ansatz, SubEquationProfile, balance_degree, substitute_ansatz
+from .pde_ast import expr_to_str, parse_pde, print_pde
+from .phi_calculus import SubEquationProfile
+from .pipeline import run
 from .solution_verify import (
-    construct_solutions, residual_fractional, residual_ode, residual_pde,
+    DEFAULT_GRID, FRACTIONAL_GRID, residual_fractional, residual_ode, residual_pde,
 )
 from .special_fn import MLSeriesSpec, generalized_fn, mittag_leffler
+from .travelling_wave import XI
 
 FMT = "%.12e"
 
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    key: str
     integer_dsl: str
     fractional_dsl: str
     integrate_times: int            # decay integrations before balancing
     figure_defaults: dict           # named parameter set from the figure caption
     caption: str
     warnings: tuple = ()
+    fractional_warnings: tuple = ()     # replace `warnings` for --method subeq
 
+
+KP_FIGURE_WARNING = (
+    "figure parameters c = 3.68, k = m = 1 satisfy neither derived branch "
+    "(a0, c) in {(2, -3), (2/3, 5)}; emitted verbatim with constraint status "
+    "flagged")
+BOUSSINESQ_WARNINGS = (
+    "a0 is normalized with denominator 6*k^2; the source derivation prints "
+    "6*k^4",
+    "figure parameters c = k = 1 violate the derived dispersion relation "
+    "c^2 = k^2 + 4*k^4; the residual is a nonzero constant",
+)
 
 REGISTRY = {
     "sww": RegistryEntry(
-        key="sww",
         integer_dsl=("pde sww vars(x,y,t) params(p,q) : "
                      "u_xt + u_xx = u_xxxy + p*u_x*u_xt + q*u_t*u_xx"),
         fractional_dsl=("pde sww vars(x,y,t) params(p,q) frac(alpha) : "
@@ -45,7 +56,6 @@ REGISTRY = {
         caption="p = q = m = k = 1, c = 3",
     ),
     "kp": RegistryEntry(
-        key="kp",
         integer_dsl="pde kp vars(x,y,t) params() : (u_t + 6*u*u_x + u_xxx)_x = u_yy",
         fractional_dsl=("pde kp vars(x,y,t) params() frac(alpha) : "
                         "(u_{t:1} + 6*u*u_{x:1} + u_{x:3})_{x:1} = u_{y:2}"),
@@ -56,25 +66,23 @@ REGISTRY = {
             "derived constraint is 3*a0^2 - 8*k^2*a0 + 4*k^4 = 0; the printed "
             "relation 9*a0^2 = 8*k^2 + 2*k^4 in the source derivation is not "
             "reproduced",
-            "figure parameters c = 3.68, k = m = 1 satisfy neither derived "
-            "branch (a0, c) in {(2, -3), (2/3, 5)}; emitted verbatim with "
-            "constraint status flagged",
+            KP_FIGURE_WARNING,
+        ),
+        fractional_warnings=(
+            "a0 is normalized with denominator 6*k^(2*alpha); the source "
+            "derivation prints 6*k^2",
+            KP_FIGURE_WARNING,
         ),
     ),
     "boussinesq4": RegistryEntry(
-        key="boussinesq4",
         integer_dsl="pde boussinesq4 vars(x,t) params() : u_tt = u_xx + 3*(u^2)_xx + u_xxxx",
         fractional_dsl=("pde boussinesq4 vars(x,t) params() frac(alpha) : "
                         "u_{t:2} = u_{x:2} + 3*(u^2)_{x:2} + u_{x:4}"),
         integrate_times=2,
         figure_defaults={"k": 1, "c": 1},
         caption="c = k = 1",
-        warnings=(
-            "a0 is normalized with denominator 6*k^2; the source derivation "
-            "prints 6*k^4",
-            "figure parameters c = k = 1 violate the derived dispersion "
-            "relation c^2 = k^2 + 4*k^4; the residual is a nonzero constant",
-        ),
+        warnings=BOUSSINESQ_WARNINGS,
+        fractional_warnings=BOUSSINESQ_WARNINGS,
     ),
 }
 
@@ -82,11 +90,6 @@ FRACTIONAL_WARNING = (
     "fractional residuals are measurements, not pass/fail checks: exactness "
     "of the alpha-generalized families under the modified Riemann-Liouville "
     "derivative is an open question"
-)
-
-KP_FRACTIONAL_WARNING = (
-    "a0 is normalized with denominator 6*k^(2*alpha); the source derivation "
-    "prints 6*k^2"
 )
 
 FIGURES = {
@@ -101,8 +104,8 @@ class CliError(ValueError):
     pass
 
 
-def _parse_params(text):
-    out = {}
+def _parse_params(text, defaults=None):
+    out = dict(defaults or {})
     if not text:
         return out
     for part in text.split(","):
@@ -120,7 +123,7 @@ def _parse_number(v):
         f = float(v)
         return Fraction(v) if f == int(f) or "." not in v and "e" not in v.lower() \
             else f
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise CliError(f"bad numeric value {v!r}") from e
 
 
@@ -133,36 +136,12 @@ def _parse_grid(text, default):
     return (float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-def _fmt(v):
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else str(v.numerator)
-    if isinstance(v, int):
-        return str(v)
-    return FMT % v
-
-
-def _powered_params(entry: RegistryEntry, params: dict, alpha: float) -> dict:
-    """Map base (k, m, c, p, q, ...) values to the alpha-power frame atoms."""
-    out = {}
-    for base, powered in (("k", "k_a"), ("m", "m_a"), ("c", "c_a")):
-        if base in params:
-            out[powered] = float(params[base]) ** alpha
-    for k, v in params.items():
-        if k not in ("k", "m", "c"):
-            out[k] = v
-    return out
-
-
-def _pipeline(definition, entry_times, profile, degree_override=None):
-    frame = tw.WaveFrame(definition.variables, definition.fractional, {})
-    reduced = tw.reduce(definition, frame)
-    integrated = tw.integrate_decay(reduced, entry_times) if entry_times \
-        else reduced
-    degree = degree_override or balance_degree(integrated, profile)
-    phi_poly = substitute_ansatz(integrated, Ansatz(degree), profile)
-    system = extract_system(phi_poly)
-    branches = solve_triangular(system)
-    return reduced, integrated, degree, system, branches
+def _check_flags(args):
+    """Reject solve/verify flag values that no stage can use."""
+    if not 0 < args.alpha <= 1:
+        raise CliError(f"--alpha must lie in (0, 1], got {args.alpha:g}")
+    if args.degree is not None and args.degree < 1:
+        raise CliError(f"--degree must be at least 1, got {args.degree}")
 
 
 def _load_definition(target: str, method: str):
@@ -181,60 +160,48 @@ def _load_definition(target: str, method: str):
     return None, parse_pde(text)
 
 
+def _run(definition, method, alpha, integrate, degree=None):
+    profile = (SubEquationProfile.riccati(alpha=alpha) if method == "subeq"
+               else SubEquationProfile.classical_tanh())
+    return run(definition, profile, integrate, degree)
+
+
 def _ode_str(o):
-    from .pde_ast import expr_to_str
-    return expr_to_str(o.expr, (tw.XI,), o.frame.fractional)
+    return expr_to_str(o.expr, (XI,), o.frame.fractional)
 
 
 def cmd_solve(args) -> int:
+    _check_flags(args)
     entry, definition = _load_definition(args.pde, args.method)
     if args.method == "subeq" and not definition.fractional and args.sigma is None:
         raise CliError("method subeq requires a fractional definition or --sigma")
     if args.method == "tanh" and definition.fractional:
         raise CliError("method tanh applies to integer-order definitions")
-    if args.method == "subeq":
-        profile = SubEquationProfile.riccati(alpha=args.alpha)
-    else:
-        profile = SubEquationProfile.classical_tanh()
-    times = entry.integrate_times if entry else args.integrate
-    reduced, integrated, degree, system, branches = _pipeline(
-        definition, times, profile, args.degree)
+    params = _parse_params(args.params, entry and entry.figure_defaults)
+    r = _run(definition, args.method, args.alpha,
+             entry.integrate_times if entry else args.integrate, args.degree)
 
-    warnings = list(entry.warnings) if entry else []
+    warnings = []
+    if entry:
+        warnings = list(entry.fractional_warnings if args.method == "subeq"
+                        else entry.warnings)
     if args.method == "subeq":
         warnings.append(FRACTIONAL_WARNING)
-        if entry and entry.key == "kp":
-            warnings = [w for w in warnings if "6*k^4" not in w and "9*a0^2" not in w]
-            warnings.insert(0, KP_FRACTIONAL_WARNING)
 
-    params = dict(entry.figure_defaults) if entry else {}
-    params.update(_parse_params(args.params))
     solutions = []
     reports = []
     if params:
-        if definition.fractional:
-            pv = _powered_params(entry, params, args.alpha)
-        else:
-            pv = params
-        frame_vals = {s: pv[s] for s in
-                      (tw.FRAME_SYMBOLS_FRACTIONAL if definition.fractional
-                       else tw.FRAME_SYMBOLS).values() if s in pv}
-        frame = tw.WaveFrame(definition.variables, definition.fractional,
-                             frame_vals)
-        grid = _parse_grid(args.grid, (-5.0, 5.0, 1001))
-        for b in branches:
-            sols = construct_solutions(
-                b, profile, pv, frame, alpha=args.alpha,
-                sigma=args.sigma if args.method == "subeq" else None,
-                omega=args.omega, free_values={"a0": args.a0})
-            for s in sols:
+        grid = _parse_grid(args.grid, FRACTIONAL_GRID if definition.fractional
+                           else DEFAULT_GRID)
+        for b in r.branches:
+            for s in r.solutions(b, params, alpha=args.alpha, sigma=args.sigma,
+                                 omega=args.omega, a0=args.a0):
                 solutions.append(s.to_json())
                 if s.family != "Tanh":
                     continue
                 if definition.fractional:
-                    fr_grid = _parse_grid(args.grid, (0.5, 4.0, 15))
-                    reports.append(residual_fractional(s, integrated, pv,
-                                                       fr_grid).to_json())
+                    reports.append(residual_fractional(s, r.ode, dict(s.params),
+                                                       grid).to_json())
                 else:
                     reports.append(residual_pde(s, definition, grid).to_json())
         if any(s["constraint_violated"] for s in solutions):
@@ -247,17 +214,18 @@ def cmd_solve(args) -> int:
         "alpha": FMT % args.alpha,
         "sigma": FMT % args.sigma if args.sigma is not None else None,
         "stages": {
-            "reduction": {"ode": _ode_str(reduced),
-                          "clearedFactor": reduced.cleared_factor},
-            "integration": {"times": times, "ode": _ode_str(integrated)},
-            "balance": {"degree": degree},
+            "reduction": {"ode": _ode_str(r.reduced),
+                          "clearedFactor": r.reduced.cleared_factor},
+            "integration": {"times": r.ode.integration_count,
+                            "ode": _ode_str(r.ode)},
+            "balance": {"degree": r.degree},
             "system": {
                 "rows": [{"phiPower": d, "poly": str(p)}
-                         for d, p in system.equations],
+                         for d, p in r.system.equations],
                 "cleared": [{"phiPower": d, "factor": f}
-                            for d, f in system.cleared],
+                            for d, f in r.system.cleared],
             },
-            "branches": [b.to_json() for b in branches],
+            "branches": [b.to_json() for b in r.branches],
             "solutions": solutions,
             "residuals": reports,
         },
@@ -268,41 +236,28 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_flags(args)
     entry, definition = _load_definition(args.pde, args.method)
-    if args.method == "subeq":
-        profile = SubEquationProfile.riccati(alpha=args.alpha)
-    else:
-        profile = SubEquationProfile.classical_tanh()
-    times = entry.integrate_times if entry else args.integrate
-    _, integrated, _, _, branches = _pipeline(definition, times, profile)
-    if not 0 <= args.branch < len(branches):
-        raise CliError(f"branch {args.branch} not found "
-                       f"({len(branches)} available)")
-    b = branches[args.branch]
-    params = dict(entry.figure_defaults) if entry else {}
-    params.update(_parse_params(args.params))
+    params = _parse_params(args.params, entry and entry.figure_defaults)
     if not params:
         raise CliError("--params required for verification")
-    pv = _powered_params(entry, params, args.alpha) if definition.fractional \
-        else params
-    frame_vals = {s: pv[s] for s in
-                  (tw.FRAME_SYMBOLS_FRACTIONAL if definition.fractional
-                   else tw.FRAME_SYMBOLS).values() if s in pv}
-    frame = tw.WaveFrame(definition.variables, definition.fractional, frame_vals)
-    sols = construct_solutions(
-        b, profile, pv, frame, alpha=args.alpha,
-        sigma=args.sigma if args.method == "subeq" else None,
-        omega=args.omega, free_values={"a0": args.a0})
-    s = next(x for x in sols if x.family == ("Tanh" if float(sols[0].sigma) < 0
-                                             else sols[0].family))
+    r = _run(definition, args.method, args.alpha,
+             entry.integrate_times if entry else args.integrate, args.degree)
+    if not 0 <= args.branch < len(r.branches):
+        raise CliError(f"branch {args.branch} not found "
+                       f"({len(r.branches)} available)")
+    # the first family is Tanh for sigma < 0, Tan for sigma > 0
+    s = r.solutions(r.branches[args.branch], params, alpha=args.alpha,
+                    sigma=args.sigma, omega=args.omega, a0=args.a0)[0]
     if definition.fractional:
-        grid = _parse_grid(args.grid, (0.5, 4.0, 15))
-        report = residual_fractional(s, integrated, pv, grid)
-        passed = True       # report-only for fractional
+        # the fractional residual is a measurement, never part of the verdict
+        report = residual_fractional(s, r.ode, dict(s.params),
+                                     _parse_grid(args.grid, FRACTIONAL_GRID))
+        passed = not s.constraint_violated
     else:
-        grid = _parse_grid(args.grid, (-5.0, 5.0, 1001))
+        grid = _parse_grid(args.grid, DEFAULT_GRID)
         if args.form == "reducedOde":
-            report = residual_ode(s, integrated, pv, grid)
+            report = residual_ode(s, r.ode, dict(s.params), grid)
         else:
             report = residual_pde(s, definition, grid)
         passed = (not s.constraint_violated) and report.max_abs < 1e-8
@@ -315,36 +270,23 @@ def cmd_verify(args) -> int:
 
 def _figure_solution(n: int, params: dict, alpha: float, sigma, omega, a0):
     key, method = FIGURES[n]
-    entry = REGISTRY[key]
-    definition = parse_pde(entry.fractional_dsl if method == "subeq"
-                           else entry.integer_dsl)
-    if method == "subeq":
-        profile = SubEquationProfile.riccati(alpha=alpha)
-    else:
-        profile = SubEquationProfile.classical_tanh()
-    _, integrated, _, _, branches = _pipeline(definition, entry.integrate_times,
-                                              profile)
-    b = branches[0]
-    pv = _powered_params(entry, params, alpha) if definition.fractional \
-        else params
-    frame_vals = {s: pv[s] for s in
-                  (tw.FRAME_SYMBOLS_FRACTIONAL if definition.fractional
-                   else tw.FRAME_SYMBOLS).values() if s in pv}
-    frame = tw.WaveFrame(definition.variables, definition.fractional, frame_vals)
-    sols = construct_solutions(b, profile, pv, frame, alpha=alpha,
-                               sigma=sigma if method == "subeq" else None,
-                               omega=omega, free_values={"a0": a0})
-    return next(x for x in sols if x.family == "Tanh")
+    entry, definition = _load_definition(key, method)
+    r = _run(definition, method, alpha, entry.integrate_times)
+    # sigma < 0, so the first family is Tanh
+    return r.solutions(r.branches[0], params, alpha=alpha, sigma=sigma,
+                       omega=omega, a0=a0)[0]
 
 
 def cmd_figure(args) -> int:
     n = args.n
     if n not in FIGURES:
         raise CliError("figure number must be 1..6")
+    if not args.sigma < 0:
+        raise CliError("--sigma must be negative: the figures plot the Tanh "
+                       "family")
     key, method = FIGURES[n]
     entry = REGISTRY[key]
-    params = dict(entry.figure_defaults)
-    params.update(_parse_params(args.params))
+    params = _parse_params(args.params, entry.figure_defaults)
     xg = _parse_grid(args.xgrid, (-10.0, 10.0, 201))
     tg = _parse_grid(args.tgrid, (0.0, 5.0, 51))
     kv, cv = float(params["k"]), float(params["c"])
@@ -358,32 +300,29 @@ def cmd_figure(args) -> int:
                 x = xg[0] + (xg[1] - xg[0]) * j / max(int(xg[2]) - 1, 1)
                 xi = kv * x + cv * t        # fixed y = 0
                 u = s.u_of_xi(xi)
-                if alpha is None:
-                    lines.append(f"{FMT % x},{FMT % t},{FMT % u}")
-                else:
-                    lines.append(f"{FMT % x},{FMT % t},{FMT % alpha},{FMT % u}")
+                cols = (x, t, u) if alpha is None else (x, t, alpha, u)
+                lines.append(",".join(FMT % v for v in cols))
         return lines
 
     if method == "subeq":
         alphas = [float(a) for a in (args.alphas.split(",") if args.alphas
                                      else FIGURE_ALPHAS)]
-        sheets = []
-        for alpha in alphas:
-            sheets.append(("x,t,alpha,u", rows_for(alpha), alpha))
+        if not all(0 < a <= 1 for a in alphas):
+            raise CliError("--alphas must lie in (0, 1]")
+        sheets = [(alpha, "x,t,alpha,u\n" + "\n".join(rows_for(alpha)) + "\n")
+                  for alpha in alphas]
         if args.out:
             stem, dot, ext = args.out.rpartition(".")
             if not dot:
                 stem, ext = args.out, "csv"
-            for header, lines, alpha in sheets:
-                path = f"{stem}_alpha{alpha:g}.{ext}"
-                with open(path, "w") as fh:
-                    fh.write(header + "\n" + "\n".join(lines) + "\n")
+            for alpha, sheet in sheets:
+                with open(f"{stem}_alpha{alpha:g}.{ext}", "w") as fh:
+                    fh.write(sheet)
         else:
-            for header, lines, _ in sheets:
-                sys.stdout.write(header + "\n" + "\n".join(lines) + "\n\n")
+            for _, sheet in sheets:
+                sys.stdout.write(sheet + "\n")
     else:
-        body = "x,t,u\n" + "\n".join(rows_for(None)) + "\n"
-        _emit(body.rstrip("\n"), args.out)
+        _emit("\n".join(["x,t,u"] + rows_for(None)), args.out)
     return 0
 
 
@@ -429,7 +368,6 @@ def _add_common(sp):
                     help="decay integrations for DSL input (registry keys "
                          "use their built-in count)")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser():
@@ -481,9 +419,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, Exception) as e:
-        if isinstance(e, SystemExit):
-            raise
+    except Exception as e:
         payload = {"error": type(e).__name__, "message": str(e)}
         sys.stdout.write(json.dumps(payload) + "\n")
         return 1

@@ -80,10 +80,6 @@ class Expr:
         return cls(tuple(out))
 
     @classmethod
-    def zero(cls) -> "Expr":
-        return cls()
-
-    @classmethod
     def number(cls, c) -> "Expr":
         c = Fraction(c)
         if c == 0:
@@ -139,9 +135,6 @@ class Expr:
 
     def variables(self) -> set:
         return {v for t in self.terms for multi, _ in t.factors for v, _ in multi}
-
-    def param_symbols(self) -> set:
-        return {s for t in self.terms for s, _ in t.params}
 
 
 def differentiate(e: Expr, var: str) -> Expr:

@@ -34,6 +34,28 @@ def _mono_sort_key(m: Mono):
     return (-mono_degree(m), m)
 
 
+def rational_content(coeffs) -> Fraction:
+    """Positive rational c such that every coeff/c is an integer and their
+    gcd is 1; 1 when there are no coefficients."""
+    num_gcd, den_lcm = 0, 1
+    for c in coeffs:
+        num_gcd = gcd(num_gcd, abs(c.numerator))
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
+
+
+def monomial_content(monos, syms=None) -> Mono:
+    """GCD monomial of `monos`, optionally restricted to `syms`."""
+    common = None
+    for m in monos:
+        d = {s: e for s, e in m if syms is None or s in syms}
+        common = d if common is None else \
+            {s: min(e, d[s]) for s, e in common.items() if s in d}
+        if not common:
+            return ONE_MONO
+    return tuple(sorted((common or {}).items()))
+
+
 class Poly:
     """Multivariate polynomial with Fraction coefficients."""
 
@@ -56,10 +78,6 @@ class Poly:
         if exp == 0:
             return cls.const(1)
         return cls({((sym, exp),): Fraction(1)})
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
 
     @property
     def is_zero(self) -> bool:
@@ -159,9 +177,6 @@ class Poly:
             p.terms[rest_m] = p.terms.get(rest_m, Fraction(0)) + c
         return {d: Poly(p.terms) for d, p in out.items() if not p.is_zero}
 
-    def coeff_of(self, sym: str, d: int) -> "Poly":
-        return self.as_univariate(sym).get(d, Poly())
-
     def derivative(self, sym: str) -> "Poly":
         out = {}
         for m, c in self.terms.items():
@@ -173,30 +188,10 @@ class Poly:
         return Poly(out)
 
     def rational_content(self) -> Fraction:
-        """Positive rational c such that self/c has integer coefficients with gcd 1."""
-        if self.is_zero:
-            return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return rational_content(self.terms.values())
 
     def monomial_content(self, syms=None) -> Mono:
-        """GCD monomial of all terms, optionally restricted to `syms`."""
-        if self.is_zero:
-            return ONE_MONO
-        common = None
-        for m in self.terms:
-            d = {s: e for s, e in m if syms is None or s in syms}
-            if common is None:
-                common = d
-            else:
-                common = {s: min(e, d[s]) for s, e in common.items() if s in d}
-            if not common:
-                return ONE_MONO
-        return tuple(sorted(common.items()))
+        return monomial_content(self.terms, syms)
 
     def divide_monomial(self, m: Mono) -> "Poly":
         out = {}
@@ -221,15 +216,16 @@ class Poly:
         m = min(self.terms, key=_mono_sort_key)
         return 1 if self.terms[m] > 0 else -1
 
-    def primitive(self):
+    def primitive(self, syms=None):
         """Return (normalized poly, cleared factor (coeff, mono)).
 
-        Divides out rational content and full monomial content and flips the
-        sign so the canonically-leading coefficient is positive.
+        Divides out rational content and the monomial content (in `syms`
+        only, when given) and flips the sign so the canonically-leading
+        coefficient is positive.
         """
         if self.is_zero:
             return self, (Fraction(1), ONE_MONO)
-        mono = self.monomial_content()
+        mono = self.monomial_content(syms)
         p = self.divide_monomial(mono)
         c = p.rational_content() * p.leading_sign()
         return p.divide_const(c), (c, mono)
@@ -282,12 +278,6 @@ class Poly:
             total = total + v
         return total
 
-    def to_univariate_coeffs(self, sym: str, vals: dict) -> list:
-        """Coefficient list [c0, c1, ...] in `sym` with all other symbols bound."""
-        uni = self.as_univariate(sym)
-        deg = max(uni) if uni else 0
-        return [uni[d].eval(vals) if d in uni else 0 for d in range(deg + 1)]
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -329,12 +319,10 @@ class RationalFn:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            self.num, self.den = Poly.zero(), Poly.const(1)
+            self.num, self.den = Poly(), Poly.const(1)
             return
         # cancel common monomial and rational content
-        nm, dm = dict(num.monomial_content()), dict(den.monomial_content())
-        common = tuple(sorted((s, min(e, dm[s])) for s, e in nm.items() if s in dm))
-        common = tuple((s, e) for s, e in common if e > 0)
+        common = monomial_content((num.monomial_content(), den.monomial_content()))
         if common:
             num = num.divide_monomial(common)
             den = den.divide_monomial(common)

@@ -109,9 +109,6 @@ class ClosedFormSolution:
             total = total * p + float(a)
         return total
 
-    def u_at(self, point: dict) -> float:
-        return self.u_of_xi(self.frame.xi_at(point))
-
     def pole_distance(self, xi: float) -> float:
         """Distance in xi to the nearest real pole of phi (inf for Tanh)."""
         xi = xi + self.xi_shift

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .pde_ast import Expr, PdeDefinition, Term, _merge_powers, differentiate
-from .rational_poly import mono_str
+from .rational_poly import monomial_content, mono_str, rational_content
 
 XI = "xi"
 
@@ -47,9 +46,6 @@ class WaveFrame:
     def symbols(self) -> tuple:
         return tuple(self.symbol(v) for v in self.variables)
 
-    def xi_at(self, point: dict) -> float:
-        return sum(self.values[FRAME_SYMBOLS[v]] * point.get(v, 0.0) for v in self.variables)
-
 
 @dataclass(frozen=True)
 class ReducedOde:
@@ -64,16 +60,9 @@ def _normalize_common(e: Expr):
     the canonically-leading term positive. Returns (expr, factor string)."""
     if e.is_zero:
         return e, "1"
-    num_gcd, den_lcm = 0, 1
-    for t in e.terms:
-        num_gcd = gcd(num_gcd, abs(t.coeff.numerator))
-        den_lcm = den_lcm * t.coeff.denominator // gcd(den_lcm, t.coeff.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    common = None
-    for t in e.terms:
-        d = dict(t.params)
-        common = d if common is None else {s: min(e_, d[s]) for s, e_ in common.items() if s in d}
-    common = tuple(sorted((s, e_) for s, e_ in (common or {}).items() if e_ > 0))
+    content = rational_content(t.coeff for t in e.terms)
+    common = monomial_content(t.params for t in e.terms)
+    # the sign rule follows the Expr term order, not the Poly one
     if e.terms[0].coeff < 0:
         content = -content
     neg = dict(common)

@@ -3,10 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from twsolve import (
-    Ansatz, SubEquationProfile, WaveFrame, balance_degree, extract_system,
-    integrate_decay, parse_pde, reduce, solve_triangular, substitute_ansatz,
-)
+from twsolve import parse_pde, pipeline
 
 TOY_DSL = "pde toy vars(x,t) params() : u_xx = u*u_t"
 SWW_DSL = ("pde sww vars(x,y,t) params(p,q) : "
@@ -25,23 +22,8 @@ INTEGRATE_TIMES = {"toy": 0, "sww": 1, "kp": 2, "boussinesq4": 2}
 
 
 def run_pipeline(dsl: str, integrate: int = 0, profile=None):
-    """Parse, reduce, optionally integrate, balance, substitute, extract,
-    and solve; returns every intermediate stage."""
-    definition = parse_pde(dsl)
-    frame = WaveFrame(definition.variables, definition.fractional, {})
-    reduced = reduce(definition, frame)
-    ode = integrate_decay(reduced, integrate) if integrate else reduced
-    prof = profile or (SubEquationProfile.riccati() if definition.fractional
-                       else SubEquationProfile.classical_tanh())
-    degree = balance_degree(ode, prof)
-    phi_poly = substitute_ansatz(ode, Ansatz(degree), prof)
-    system = extract_system(phi_poly)
-    branches = solve_triangular(system)
-    return {
-        "definition": definition, "frame": frame, "reduced": reduced,
-        "ode": ode, "profile": prof, "degree": degree, "phi_poly": phi_poly,
-        "system": system, "branches": branches,
-    }
+    """Every stage of the pipeline on one DSL string."""
+    return pipeline.run(parse_pde(dsl), profile, integrate)
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from twsolve import (
-    PowerLawTerm, WaveFrame, alpha_limit_check,
-    construct_solutions, jumarie_power_rule, jumarie_quadrature,
+    PowerLawTerm, alpha_limit_check, jumarie_power_rule, jumarie_quadrature,
     mittag_leffler, MLSeriesSpec, residual_fractional, residual_ode,
     residual_pde, solve_numeric,
 )
@@ -32,22 +31,19 @@ def report(n, ok, detail):
     assert ok, line
 
 
-def tanh_sol(d, params, frame_vals, **kw):
-    frame = WaveFrame(d["definition"].variables,
-                      d["definition"].fractional, frame_vals)
-    sols = construct_solutions(d["branches"][0], d["profile"], params, frame,
-                               **kw)
+def tanh_sol(d, params, **kw):
+    sols = d.solutions(d.branches[0], params, **kw)
     return next(s for s in sols if s.family == "Tanh")
 
 
 def test_criterion_1_toy_pipeline():
     t0 = time.time()
     d = run_pipeline(TOY_DSL)
-    (b,) = d["branches"]
+    (b,) = d.branches
     exact = (str(b.assignments["a0"]) == "0" and
              str(b.assignments["a1"]) == "-2*k^2 / c")
-    s = tanh_sol(d, {"k": 1, "c": 2}, {"k": 1, "c": 2})
-    rep = residual_pde(s, d["definition"])
+    s = tanh_sol(d, {"k": 1, "c": 2})
+    rep = residual_pde(s, d.definition)
     elapsed = time.time() - t0
     report(1, exact and rep.max_abs < 1e-10 and elapsed < 1.0,
            f"toy a0=0, a1=-2k^2/c exact; residual {rep.max_abs:.2e} < 1e-10; "
@@ -56,12 +52,11 @@ def test_criterion_1_toy_pipeline():
 
 def test_criterion_2_sww():
     d = run_pipeline(SWW_DSL, integrate=1)
-    (b,) = d["branches"]
+    (b,) = d.branches
     exact = str(b.assignments["a1"]) == "12*k*m / (c*p + c*q)"
     constraint = [str(c) for c in b.constraints] == ["4*k^2*m - c - k"]
-    s = tanh_sol(d, {"k": 1, "m": 1, "c": 3, "p": 1, "q": 1},
-                 {"k": 1, "m": 1, "c": 3})
-    rep = residual_pde(s, d["definition"])
+    s = tanh_sol(d, {"k": 1, "m": 1, "c": 3, "p": 1, "q": 1})
+    rep = residual_pde(s, d.definition)
     report(2, exact and constraint and rep.max_abs < 1e-9,
            f"a1=12km/(c(p+q)) exact; constraint (c+k)-4k^2m; "
            f"figure-1 residual {rep.max_abs:.2e} < 1e-9")
@@ -69,7 +64,7 @@ def test_criterion_2_sww():
 
 def test_criterion_3_kp():
     d = run_pipeline(KP_DSL, integrate=2)
-    (b,) = d["branches"]
+    (b,) = d.branches
     exact = (str(b.assignments["a2"]) == "-2*k^2" and
              str(b.assignments["a0"]) == "(4/3*k^4 - 1/6*c*k + 1/6*m^2) / k^2")
     # phi^0 constraint is the a0-quadratic: q(a0) = -(1/12) * emitted constraint
@@ -78,7 +73,7 @@ def test_criterion_3_kp():
     q = Poly.const(3) * num ** 2 - Poly.const(8) * k2 * num * den \
         + Poly.const(4) * k2 ** 2 * den ** 2
     quad_ok = q == Poly.const(Fraction(-1, 12)) * b.constraints[0]
-    roots = solve_numeric(d["system"], {"k": 1, "m": 1})
+    roots = solve_numeric(d.system, {"k": 1, "m": 1})
     found = sorted((r["a0"], r["c"]) for r in roots)
     want = sorted([(2 / 3, 5.0), (2.0, -3.0)])
     numeric_ok = len(found) == 2 and all(
@@ -86,8 +81,8 @@ def test_criterion_3_kp():
         for (a, c), (wa, wc) in zip(found, want))
     residual_ok = True
     for c in (5, -3):
-        s = tanh_sol(d, {"k": 1, "m": 1, "c": c}, {"k": 1, "m": 1, "c": c})
-        residual_ok &= residual_pde(s, d["definition"]).max_abs < 1e-9
+        s = tanh_sol(d, {"k": 1, "m": 1, "c": c})
+        residual_ok &= residual_pde(s, d.definition).max_abs < 1e-9
     # the printed relation 9a0^2 = 8k^2 + 2k^4 must NOT hold on the branch
     printed = 9 * (2 / 3) ** 2 - 8 - 2
     not_reproduced = abs(printed) > 1e-6
@@ -101,16 +96,16 @@ def test_criterion_3_kp():
 
 def test_criterion_4_boussinesq():
     d = run_pipeline(BSQ_DSL, integrate=2)
-    (b,) = d["branches"]
+    (b,) = d.branches
     a2_ok = str(b.assignments["a2"]) == "-2*k^2"
     # denominator normalization: a0 = (8k^4 + c^2 - k^2) / (6k^2)
     den_ok = str(b.assignments["a0"]) == "(4/3*k^4 + 1/6*c^2 - 1/6*k^2) / k^2"
-    s = tanh_sol(d, {"k": 1, "c": BSQ_C}, {"k": 1, "c": BSQ_C})
+    s = tanh_sol(d, {"k": 1, "c": BSQ_C})
     phys_ok = (not s.constraint_violated and
                float(s.coefficients[0]) == pytest.approx(2.0, abs=1e-12))
-    rep = residual_pde(s, d["definition"])
-    s5 = tanh_sol(d, {"k": 1, "c": 1}, {"k": 1, "c": 1})
-    rep5 = residual_ode(s5, d["ode"], {"k": 1, "c": 1})
+    rep = residual_pde(s, d.definition)
+    s5 = tanh_sol(d, {"k": 1, "c": 1})
+    rep5 = residual_ode(s5, d.ode, {"k": 1, "c": 1})
     report(4, a2_ok and den_ok and phys_ok and rep.max_abs < 1e-10 and
            rep5.max_abs >= 0.1,
            f"a2=-2k^2; a0 denominator 6k^2; physical branch a0=2k^2, "
@@ -123,13 +118,13 @@ def test_criterion_5_fractional_systems():
     sww = run_pipeline(SWW_FRAC_DSL, integrate=1)
     kp = run_pipeline(KP_FRAC_DSL, integrate=2)
     bsq = run_pipeline(BSQ_FRAC_DSL, integrate=2)
-    top = bsq["phi_poly"].coefficients[bsq["phi_poly"].degree]
+    top = bsq.phi_poly.coefficients[bsq.phi_poly.degree]
     prod = Poly.const(3) * Poly.var("k_a", 2) * Poly.var("a2") * \
         (Poly.var("a2") + Poly.const(2) * Poly.var("k_a", 2))
     row_ok = top == prod
-    a2_ok = all(str(d["branches"][0].assignments["a2"]) == "-2*k_a^2"
+    a2_ok = all(str(d.branches[0].assignments["a2"]) == "-2*k_a^2"
                 for d in (kp, bsq))
-    cons_ok = [str(c) for c in sww["branches"][0].constraints] == \
+    cons_ok = [str(c) for c in sww.branches[0].constraints] == \
         ["4*k_a^2*m_a*sigma + c_a + k_a"]
     report(5, row_ok and a2_ok and cons_ok,
            "fractional top row = 3 k^(2a) a2 (a2 + 2k^(2a)); a2 = -2k^(2a) "
@@ -166,15 +161,13 @@ def test_criterion_7_classical_limit():
     ]:
         classical = run_pipeline(cdsl, integrate=it)
         frac = run_pipeline(fdsl, integrate=it)
-        frame_vals = {k: v for k, v in cp.items() if k in ("k", "m", "c")}
-        sc = tanh_sol(classical, cp, frame_vals)
+        sc = tanh_sol(classical, cp)
 
         def factory(alpha, frac=frac, cp=cp):
             pv = {f"{b}_a": float(cp[b]) ** alpha
                   for b in ("k", "m", "c") if b in cp}
             pv.update({k: v for k, v in cp.items() if k in ("p", "q")})
-            fv = {k: v for k, v in pv.items() if k.endswith("_a")}
-            return tanh_sol(frac, pv, fv, alpha=alpha, sigma=-1)
+            return tanh_sol(frac, pv, alpha=alpha, sigma=-1)
 
         dev = alpha_limit_check(sc, factory, alphas)
         mono = dev[0.9] > dev[0.99] > dev[0.999] > dev[1.0]
@@ -201,15 +194,13 @@ def test_criterion_8_fractional_residual_measurement():
         d = run_pipeline(dsl, integrate=it)
         for alpha in (0.5, 0.8):
             pv = pv_of(alpha)
-            fv = {k: v for k, v in pv.items() if k.endswith("_a")}
-            s = tanh_sol(d, pv, fv, alpha=alpha, sigma=-1)
-            rep = residual_fractional(s, d["ode"], pv)
+            s = tanh_sol(d, pv, alpha=alpha, sigma=-1)
+            rep = residual_fractional(s, d.ode, pv)
             ok &= math.isfinite(rep.max_abs)
             finite.append(rep.max_abs)
         pv1 = pv_of(1.0)
-        fv1 = {k: v for k, v in pv1.items() if k.endswith("_a")}
-        s1 = tanh_sol(d, pv1, fv1, alpha=1.0, sigma=-1)
-        rep1 = residual_fractional(s1, d["ode"], pv1)
+        s1 = tanh_sol(d, pv1, alpha=1.0, sigma=-1)
+        rep1 = residual_fractional(s1, d.ode, pv1)
         ok &= rep1.max_abs < 1e-8
     report(8, ok,
            f"all three fractional case studies emit finite reports at "

@@ -17,7 +17,7 @@ from twsolve.rational_poly import Poly
 # --- extraction -----------------------------------------------------------
 
 def test_extract_clears_and_logs_content(toy):
-    s = toy["system"]
+    s = toy.system
     rows = dict((d, str(p)) for d, p in s.equations)
     assert rows[3] == "2*a1*k^2 + a1^2*c"
     assert rows[2] == "a0*a1"
@@ -26,7 +26,7 @@ def test_extract_clears_and_logs_content(toy):
 
 
 def test_extract_sww_rows(sww):
-    rows = dict((d, str(p)) for d, p in sww["system"].equations)
+    rows = dict((d, str(p)) for d, p in sww.system.equations)
     assert rows[4] == "a1^2*c*p + a1^2*c*q - 12*a1*k*m"
     assert rows[2] == "a1^2*c*k*p + a1^2*c*k*q - 8*a1*k^2*m - a1*c - a1*k"
     assert rows[0] == "a1^2*c*k*p + a1^2*c*k*q - 4*a1*k^2*m - 2*a1*c - 2*a1*k"
@@ -41,7 +41,7 @@ def test_extract_rejects_zero():
 # --- triangular enumeration ----------------------------------------------
 
 def test_toy_branch(toy):
-    (b,) = toy["branches"]
+    (b,) = toy.branches
     assert str(b.assignments["a0"]) == "0"
     assert str(b.assignments["a1"]) == "-2*k^2 / c"
     assert b.constraints == []
@@ -49,13 +49,13 @@ def test_toy_branch(toy):
 
 
 def test_sww_branch(sww):
-    (b,) = sww["branches"]
+    (b,) = sww.branches
     assert str(b.assignments["a1"]) == "12*k*m / (c*p + c*q)"
     assert [str(c) for c in b.constraints] == ["4*k^2*m - c - k"]
 
 
 def test_kp_branch(kp):
-    (b,) = kp["branches"]
+    (b,) = kp.branches
     assert str(b.assignments["a2"]) == "-2*k^2"
     assert str(b.assignments["a1"]) == "0"
     assert str(b.assignments["a0"]) == "(4/3*k^4 - 1/6*c*k + 1/6*m^2) / k^2"
@@ -66,7 +66,7 @@ def test_kp_branch(kp):
 def test_kp_constraint_equivalent_to_quadratic_in_a0(kp):
     """The emitted parameter constraint equals -(12 k^4) * q(a0(k, m, c))
     where q(a0) = 3*a0^2 - 8*k^2*a0 + 4*k^4."""
-    (b,) = kp["branches"]
+    (b,) = kp.branches
     a0 = b.assignments["a0"]            # num / (k^2 * 6) form
     k2 = Poly.var("k", 2)
     # q cleared by den^2: 3*num^2 - 8*k^2*num*den + 4*k^4*den^2
@@ -78,7 +78,7 @@ def test_kp_constraint_equivalent_to_quadratic_in_a0(kp):
 
 
 def test_bsq_branch(bsq):
-    (b,) = bsq["branches"]
+    (b,) = bsq.branches
     assert str(b.assignments["a2"]) == "-2*k^2"
     assert str(b.assignments["a0"]) == "(4/3*k^4 + 1/6*c^2 - 1/6*k^2) / k^2"
     assert [str(c) for c in b.constraints] == \
@@ -86,13 +86,13 @@ def test_bsq_branch(bsq):
 
 
 def test_fractional_branches(sww_frac, kp_frac, bsq_frac):
-    (b,) = sww_frac["branches"]
+    (b,) = sww_frac.branches
     assert str(b.assignments["a1"]) == "-12*k_a*m_a / (c_a*p + c_a*q)"
     assert [str(c) for c in b.constraints] == \
         ["4*k_a^2*m_a*sigma + c_a + k_a"]
-    (b,) = kp_frac["branches"]
+    (b,) = kp_frac.branches
     assert str(b.assignments["a2"]) == "-2*k_a^2"
-    (b,) = bsq_frac["branches"]
+    (b,) = bsq_frac.branches
     assert str(b.assignments["a2"]) == "-2*k_a^2"
 
 
@@ -101,7 +101,7 @@ def test_soundness_on_constraint_variety(sww):
     constraint variety, substitute the solved a1 — every system row must
     vanish identically."""
     rng = random.Random(1)
-    (b,) = sww["branches"]
+    (b,) = sww.branches
     for _ in range(5):
         k = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         m = Fraction(rng.randint(1, 5), rng.randint(1, 3))
@@ -112,8 +112,17 @@ def test_soundness_on_constraint_variety(sww):
         vals = {"k": k, "m": m, "c": c, "p": p_, "q": q_}
         a1 = Fraction(b.assignments["a1"].num.eval(vals)) / \
             Fraction(b.assignments["a1"].den.eval(vals))
-        for _, row in sww["system"].equations:
+        for _, row in sww.system.equations:
             assert row.eval({**vals, "a0": Fraction(7), "a1": a1}) == 0
+
+
+def test_constraint_that_is_a_denominator_power_kills_branch():
+    """a1 = 1/(p+q) turns the row (p+q)^2*a1 into the constraint (p+q)^2;
+    with p + q a nonzero denominator it can never vanish."""
+    a1, s = Poly.var("a1"), Poly.var("p") + Poly.var("q")
+    system = CoefficientSystem(((1, s * a1 - 1), (0, s * s * a1)),
+                               ("a0", "a1"), ("p", "q"))
+    assert solve_triangular(system) == []
 
 
 @pytest.mark.parametrize("fixture", ["toy", "sww", "kp", "bsq"])
@@ -122,8 +131,8 @@ def test_exhaustive_oracle_contains_default(fixture, request):
     rediscover every branch of the highest-row-first policy (other orderings
     may phrase the same solution set with composite constraints)."""
     d = request.getfixturevalue(fixture)
-    default = solve_triangular(d["system"])
-    exhaustive = solve_triangular(d["system"], exhaustive=True)
+    default = solve_triangular(d.system)
+    exhaustive = solve_triangular(d.system, exhaustive=True)
 
     def key(b):
         return (tuple(sorted((u, str(v)) for u, v in b.assignments.items())),
@@ -138,9 +147,9 @@ def test_numeric_roots_all_explained_by_symbolic_branch(fixture, request):
     must lie on the symbolic branch (constraint satisfied, coefficients
     matching the branch formulas)."""
     d = request.getfixturevalue(fixture)
-    (b,) = d["branches"]
+    (b,) = d.branches
     params = {"k": 1, "m": 1} if fixture == "kp" else {"k": 1}
-    roots = solve_numeric(d["system"], params)
+    roots = solve_numeric(d.system, params)
     assert roots
     for r in roots:
         vals = {**{k: float(v) for k, v in params.items()},
@@ -154,7 +163,7 @@ def test_numeric_roots_all_explained_by_symbolic_branch(fixture, request):
 
 def test_scaling_invariance(sww):
     """Multiplying every row by a nonzero rational changes nothing."""
-    pp = sww["phi_poly"]
+    pp = sww.phi_poly
     scaled = PhiPolynomial(
         tuple(c * Poly.const(Fraction(-7, 3)) for c in pp.coefficients),
         pp.unknowns, pp.parameters)
@@ -167,15 +176,15 @@ def test_scaling_invariance(sww):
 
 
 def test_branches_are_deterministic(kp):
-    a = solve_triangular(kp["system"])
-    b = solve_triangular(kp["system"])
+    a = solve_triangular(kp.system)
+    b = solve_triangular(kp.system)
     assert [x.to_json() for x in a] == [x.to_json() for x in b]
 
 
 # --- numeric fallback -----------------------------------------------------
 
 def test_numeric_kp_roots(kp):
-    roots = solve_numeric(kp["system"], {"k": 1, "m": 1})
+    roots = solve_numeric(kp.system, {"k": 1, "m": 1})
     found = sorted((round(r["a0"], 8), round(r["c"], 8)) for r in roots)
     assert found == [(round(2 / 3, 8), 5.0), (2.0, -3.0)]
     for r in roots:
@@ -184,7 +193,7 @@ def test_numeric_kp_roots(kp):
 
 
 def test_numeric_bsq_roots(bsq):
-    roots = solve_numeric(bsq["system"], {"k": 1})
+    roots = solve_numeric(bsq.system, {"k": 1})
     cs = sorted(round(r["c"], 8) for r in roots)
     assert cs == [round(-5 ** 0.5, 8), round(5 ** 0.5, 8)]
     for r in roots:
@@ -192,14 +201,14 @@ def test_numeric_bsq_roots(bsq):
 
 
 def test_numeric_matches_symbolic_branch(toy):
-    roots = solve_numeric(toy["system"], {"k": 2, "c": 4})
+    roots = solve_numeric(toy.system, {"k": 2, "c": 4})
     assert any(r["a1"] == pytest.approx(-2.0, abs=1e-8) and
                abs(r["a0"]) < 1e-8 for r in roots)
 
 
 def test_numeric_deterministic(bsq):
-    a = solve_numeric(bsq["system"], {"k": 1})
-    b = solve_numeric(bsq["system"], {"k": 1})
+    a = solve_numeric(bsq.system, {"k": 1})
+    b = solve_numeric(bsq.system, {"k": 1})
     assert a == b
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from twsolve import cli
 from twsolve.cli import main
 
 
@@ -78,6 +79,44 @@ def test_verify_pass_and_fail(capsys):
     rep = json.loads(out)
     assert rep["constraintViolated"] is True
     assert float(rep["maxAbs"]) >= 0.1
+
+
+def test_solve_prunes_parameter_monomial_constraint(capsys):
+    # the only candidate branch needs k^4 = 0, but k is a nonzero denominator
+    code, out = run_cli(capsys, "solve",
+                        "pde a vars(x,t) params() : u_t + u*u_x + u_xxxxx = 0")
+    assert code == 0
+    assert json.loads(out)["stages"]["branches"] == []
+
+
+def test_verify_fractional_fails_on_violated_constraint(capsys):
+    code, out = run_cli(capsys, "verify", "sww", "--method", "subeq",
+                        "--alpha", "0.5", "--sigma", "1")
+    rep = json.loads(out)
+    assert rep["constraintViolated"] is True
+    assert rep["pass"] is False
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "sww", "--degree", "0"),
+    ("verify", "sww", "--degree", "-1"),
+    ("solve", "sww", "--params", "k=inf"),
+    ("verify", "sww", "--params", "c=1e400"),
+    ("verify", "sww", "--method", "subeq", "--alpha", "1.5", "--sigma=-1"),
+    ("solve", "sww", "--method", "subeq", "--alpha", "0"),
+    ("figure", "2", "--sigma=1"),
+    ("figure", "1", "--sigma", "0"),
+    ("figure", "2", "--alphas", "1.5"),
+    ("figure", "4", "--alphas", "0.8,0"),
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a pipeline stage ran on bad input")
+    monkeypatch.setattr(cli, "run", no_stage)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "CliError"
 
 
 def test_figure1_values(capsys):

@@ -74,7 +74,7 @@ def test_riccati_table_matches_derivative_of_tanh_family():
     (TOY_DSL, 0, 1), (SWW_DSL, 1, 1), (KP_DSL, 2, 2), (BSQ_DSL, 2, 2),
 ])
 def test_balance_degrees(dsl, times, expected):
-    assert run_pipeline(dsl, times)["degree"] == expected
+    assert run_pipeline(dsl, times).degree == expected
 
 
 def test_balance_non_integer_rejected():
@@ -98,7 +98,7 @@ def test_ansatz_symbols():
 
 
 def test_substitute_ansatz_boussinesq_top_row(bsq):
-    pp = bsq["phi_poly"]
+    pp = bsq.phi_poly
     assert pp.degree == 4
     # 3*a2*k^2*(a2 + 2*k^2)
     assert str(pp.coefficients[4]) == "6*a2*k^4 + 3*a2^2*k^2"
@@ -106,13 +106,13 @@ def test_substitute_ansatz_boussinesq_top_row(bsq):
 
 def test_substitute_ansatz_unintegrated_boussinesq_phi6_row():
     d = run_pipeline(BSQ_DSL, integrate=0)
-    pp = d["phi_poly"]
+    pp = d.phi_poly
     assert pp.degree == 6
     assert str(pp.coefficients[6]) == "120*a2*k^4 + 60*a2^2*k^2"
 
 
 def test_substitute_ansatz_records_unknowns_and_parameters(sww):
-    pp = sww["phi_poly"]
+    pp = sww.phi_poly
     assert pp.unknowns == ("a0", "a1")
     assert set(pp.parameters) == {"k", "m", "c", "p", "q"}
 
@@ -120,7 +120,7 @@ def test_substitute_ansatz_records_unknowns_and_parameters(sww):
 def test_fractional_top_row_factorization(bsq_frac):
     """Leading row of the fractional quartic system is proportional to
     a2*(a2 + 2*k_a^2)."""
-    pp = bsq_frac["phi_poly"]
+    pp = bsq_frac.phi_poly
     top = pp.coefficients[pp.degree]
     prod = Poly.const(3) * Poly.var("k_a", 2) * Poly.var("a2") * \
         (Poly.var("a2") + Poly.const(2) * Poly.var("k_a", 2))

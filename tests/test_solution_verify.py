@@ -17,11 +17,8 @@ CLASSICAL = SubEquationProfile.classical_tanh()
 BSQ_C = 5 ** 0.5        # dispersion relation c^2 = k^2 + 4 k^4 at k = 1
 
 
-def tanh_solution(d, params, frame_vals, **kw):
-    frame = WaveFrame(d["definition"].variables,
-                      d["definition"].fractional, frame_vals)
-    sols = construct_solutions(d["branches"][0], d["profile"], params, frame,
-                               **kw)
+def tanh_solution(d, params, **kw):
+    sols = d.solutions(d.branches[0], params, **kw)
     return next(s for s in sols if s.family == "Tanh"), sols
 
 
@@ -29,24 +26,24 @@ def tanh_solution(d, params, frame_vals, **kw):
 
 def test_construct_families_by_sigma_sign(toy):
     frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 2})
-    _, sols = tanh_solution(toy, {"k": 1, "c": 2}, {"k": 1, "c": 2})
+    _, sols = tanh_solution(toy, {"k": 1, "c": 2})
     assert [s.family for s in sols] == ["Tanh", "Coth"]
     riccati = SubEquationProfile.riccati()
-    pos = construct_solutions(toy["branches"][0], riccati,
+    pos = construct_solutions(toy.branches[0], riccati,
                               {"k": 1, "c": 2}, frame, sigma=2)
     assert [s.family for s in pos] == ["Tan", "Cot"]
-    zero = construct_solutions(toy["branches"][0], riccati,
+    zero = construct_solutions(toy.branches[0], riccati,
                                {"k": 1, "c": 2}, frame, sigma=0)
     assert [s.family for s in zero] == ["Rational"]
 
 
 def test_construct_binds_exact_coefficients(toy):
-    s, _ = tanh_solution(toy, {"k": 1, "c": 2}, {"k": 1, "c": 2})
+    s, _ = tanh_solution(toy, {"k": 1, "c": 2})
     assert s.coefficients == (Fraction(0), Fraction(-1))
 
 
 def test_construct_flags_violated_constraint(bsq):
-    s, _ = tanh_solution(bsq, {"k": 1, "c": 1}, {"k": 1, "c": 1})
+    s, _ = tanh_solution(bsq, {"k": 1, "c": 1})
     assert s.constraint_violated
     assert s.coefficients[0] == Fraction(4, 3)
 
@@ -54,17 +51,15 @@ def test_construct_flags_violated_constraint(bsq):
 def test_construct_denominator_zero(toy):
     frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 0})
     with pytest.raises(DenominatorZero):
-        construct_solutions(toy["branches"][0], CLASSICAL,
+        construct_solutions(toy.branches[0], CLASSICAL,
                             {"k": 1, "c": 0}, frame)
 
 
 def test_free_a0_default_and_override(sww):
-    s, _ = tanh_solution(sww, {"k": 1, "m": 1, "c": 3, "p": 1, "q": 1},
-                         {"k": 1, "m": 1, "c": 3})
+    s, _ = tanh_solution(sww, {"k": 1, "m": 1, "c": 3, "p": 1, "q": 1})
     assert s.coefficients[0] == 0
     s2, _ = tanh_solution(sww, {"k": 1, "m": 1, "c": 3, "p": 1, "q": 1},
-                          {"k": 1, "m": 1, "c": 3},
-                          free_values={"a0": Fraction(5)})
+                          a0=Fraction(5))
     assert s2.coefficients[0] == 5
 
 
@@ -80,8 +75,8 @@ def test_rational_family_shape():
 def test_alpha1_generalized_matches_classical_pointwise(bsq):
     params = {"k_a": 1.0, "c_a": BSQ_C}
     frac = run_pipeline(BSQ_FRAC_DSL, integrate=2)
-    sa, _ = tanh_solution(frac, params, params, alpha=1.0, sigma=-1)
-    sc, _ = tanh_solution(bsq, {"k": 1, "c": BSQ_C}, {"k": 1, "c": BSQ_C})
+    sa, _ = tanh_solution(frac, params, alpha=1.0, sigma=-1)
+    sc, _ = tanh_solution(bsq, {"k": 1, "c": BSQ_C})
     for xi in (-2.0, -0.5, 0.0, 1.0, 3.0):
         assert sa.u_of_xi(xi) == pytest.approx(sc.u_of_xi(xi), abs=1e-10)
 
@@ -89,34 +84,32 @@ def test_alpha1_generalized_matches_classical_pointwise(bsq):
 # --- integer-order residuals ---------------------------------------------
 
 def test_toy_residual_exact(toy):
-    s, _ = tanh_solution(toy, {"k": 1, "c": 2}, {"k": 1, "c": 2})
-    rep = residual_pde(s, toy["definition"])
+    s, _ = tanh_solution(toy, {"k": 1, "c": 2})
+    rep = residual_pde(s, toy.definition)
     assert rep.max_abs < 1e-10
     assert rep.equation_form == "originalPde"
 
 
 def test_sww_figure1_residual(sww):
-    s, _ = tanh_solution(sww, {"k": 1, "m": 1, "c": 3, "p": 1, "q": 1},
-                         {"k": 1, "m": 1, "c": 3})
+    s, _ = tanh_solution(sww, {"k": 1, "m": 1, "c": 3, "p": 1, "q": 1})
     assert not s.constraint_violated
-    rep = residual_pde(s, sww["definition"])
+    rep = residual_pde(s, sww.definition)
     assert rep.max_abs < 1e-9
 
 
 def test_kp_branch_residuals(kp):
     # both numeric branches at k = m = 1: (a0, c) in {(2/3, 5), (2, -3)}
     for c in (5, -3):
-        s, _ = tanh_solution(kp, {"k": 1, "m": 1, "c": c},
-                             {"k": 1, "m": 1, "c": c})
+        s, _ = tanh_solution(kp, {"k": 1, "m": 1, "c": c})
         assert not s.constraint_violated
-        rep = residual_pde(s, kp["definition"])
+        rep = residual_pde(s, kp.definition)
         assert rep.max_abs < 1e-9
 
 
 def test_bsq_physical_branch_residual(bsq):
-    s, _ = tanh_solution(bsq, {"k": 1, "c": BSQ_C}, {"k": 1, "c": BSQ_C})
+    s, _ = tanh_solution(bsq, {"k": 1, "c": BSQ_C})
     assert not s.constraint_violated
-    rep = residual_pde(s, bsq["definition"])
+    rep = residual_pde(s, bsq.definition)
     assert rep.max_abs < 1e-10
     # sech^2 soliton: u = a0 - 2 tanh^2 = (a0 - 2) + 2 sech^2
     assert float(s.coefficients[0]) == pytest.approx(2.0, abs=1e-12)
@@ -125,8 +118,8 @@ def test_bsq_physical_branch_residual(bsq):
 def test_bsq_negative_test_constant_residual(bsq):
     """Figure-5 parameters violate the dispersion relation: the residual of
     the twice-integrated ODE is the nonzero constant left in the phi^0 row."""
-    s, _ = tanh_solution(bsq, {"k": 1, "c": 1}, {"k": 1, "c": 1})
-    rep = residual_ode(s, bsq["ode"], {"k": 1, "c": 1})
+    s, _ = tanh_solution(bsq, {"k": 1, "c": 1})
+    rep = residual_ode(s, bsq.ode, {"k": 1, "c": 1})
     assert rep.max_abs >= 0.1
     assert rep.max_abs == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert rep.min_equals_max if hasattr(rep, "min_equals_max") else True
@@ -135,33 +128,32 @@ def test_bsq_negative_test_constant_residual(bsq):
 
 def test_violated_constraint_residual_exceeds_threshold(sww):
     # c = 4 breaks 4k^2m - c - k = 0
-    s, _ = tanh_solution(sww, {"k": 1, "m": 1, "c": 4, "p": 1, "q": 1},
-                         {"k": 1, "m": 1, "c": 4})
+    s, _ = tanh_solution(sww, {"k": 1, "m": 1, "c": 4, "p": 1, "q": 1})
     assert s.constraint_violated
-    rep = residual_pde(s, sww["definition"])
+    rep = residual_pde(s, sww.definition)
     assert rep.max_abs > 1e-3
 
 
 def test_translation_invariance(toy):
-    s, _ = tanh_solution(toy, {"k": 1, "c": 2}, {"k": 1, "c": 2})
+    s, _ = tanh_solution(toy, {"k": 1, "c": 2})
     shifted = replace(s, xi_shift=1.7)
-    a = residual_pde(s, toy["definition"])
-    b = residual_pde(shifted, toy["definition"])
+    a = residual_pde(s, toy.definition)
+    b = residual_pde(shifted, toy.definition)
     assert abs(a.max_abs - b.max_abs) < 1e-12
 
 
 def test_coth_pole_exclusion(toy):
-    _, sols = tanh_solution(toy, {"k": 1, "c": 2}, {"k": 1, "c": 2})
+    _, sols = tanh_solution(toy, {"k": 1, "c": 2})
     coth = next(s for s in sols if s.family == "Coth")
-    rep = residual_pde(coth, toy["definition"])
+    rep = residual_pde(coth, toy.definition)
     assert rep.excluded_points          # xi = 0 neighborhood removed
     assert all(abs(p) < 1e-2 for p in rep.excluded_points)
     assert math.isfinite(rep.max_abs)
 
 
 def test_report_serializes(toy):
-    s, _ = tanh_solution(toy, {"k": 1, "c": 2}, {"k": 1, "c": 2})
-    j = residual_pde(s, toy["definition"]).to_json()
+    s, _ = tanh_solution(toy, {"k": 1, "c": 2})
+    j = residual_pde(s, toy.definition).to_json()
     assert set(j) == {"maxAbs", "meanAbs", "grid", "excludedPoints",
                       "equationForm"}
 
@@ -171,8 +163,8 @@ def test_report_serializes(toy):
 def test_fractional_residual_alpha1_matches_classical(bsq):
     frac = run_pipeline(BSQ_FRAC_DSL, integrate=2)
     params = {"k_a": 1.0, "c_a": BSQ_C}
-    s, _ = tanh_solution(frac, params, params, alpha=1.0, sigma=-1)
-    rep = residual_fractional(s, frac["ode"], params)
+    s, _ = tanh_solution(frac, params, alpha=1.0, sigma=-1)
+    rep = residual_fractional(s, frac.ode, params)
     assert rep.max_abs < 1e-8
 
 
@@ -180,8 +172,8 @@ def test_fractional_residual_alpha1_matches_classical(bsq):
 def test_fractional_residual_is_finite_measurement(alpha):
     frac = run_pipeline(BSQ_FRAC_DSL, integrate=2)
     params = {"k_a": 1.0, "c_a": BSQ_C ** alpha}
-    s, _ = tanh_solution(frac, params, params, alpha=alpha, sigma=-1)
-    rep = residual_fractional(s, frac["ode"], params)
+    s, _ = tanh_solution(frac, params, alpha=alpha, sigma=-1)
+    rep = residual_fractional(s, frac.ode, params)
     assert math.isfinite(rep.max_abs)
     assert rep.equation_form == "reducedOde"
 
@@ -199,12 +191,11 @@ def test_riccati_probe_reports():
 def _bsq_pair():
     classical = run_pipeline(BSQ_DSL, integrate=2)
     frac = run_pipeline(BSQ_FRAC_DSL, integrate=2)
-    sc, _ = tanh_solution(classical, {"k": 1, "c": BSQ_C},
-                          {"k": 1, "c": BSQ_C})
+    sc, _ = tanh_solution(classical, {"k": 1, "c": BSQ_C})
 
     def factory(alpha):
         pv = {"k_a": 1.0, "c_a": BSQ_C ** alpha}
-        s, _ = tanh_solution(frac, pv, pv, alpha=alpha, sigma=-1)
+        s, _ = tanh_solution(frac, pv, alpha=alpha, sigma=-1)
         return s
 
     return sc, factory

@@ -43,25 +43,25 @@ def expr_as_xi_poly(e, u_coeffs, nsyms=6):
 # --- reduction ------------------------------------------------------------
 
 def test_reduce_toy():
-    o = run_pipeline(TOY_DSL)["reduced"]
+    o = run_pipeline(TOY_DSL).reduced
     assert ode_str(o) == "k^2*u_{xi:2} - c*u*u_{xi:1}"
 
 
 def test_reduce_sww_clears_common_factor():
-    o = run_pipeline(SWW_DSL)["reduced"]
+    o = run_pipeline(SWW_DSL).reduced
     assert ode_str(o) == ("k^2*m*u_{xi:4} + c*k*p*u_{xi:1}*u_{xi:2} "
                           "+ c*k*q*u_{xi:1}*u_{xi:2} - c*u_{xi:2} - k*u_{xi:2}")
     assert o.cleared_factor == "-1*k"
 
 
 def test_reduce_kp():
-    o = run_pipeline(KP_DSL)["reduced"]
+    o = run_pipeline(KP_DSL).reduced
     assert ode_str(o) == ("k^4*u_{xi:4} + 6*k^2*u*u_{xi:2} + 6*k^2*u_{xi:1}^2 "
                           "+ c*k*u_{xi:2} - m^2*u_{xi:2}")
 
 
 def test_reduce_boussinesq():
-    o = run_pipeline(BSQ_DSL)["reduced"]
+    o = run_pipeline(BSQ_DSL).reduced
     assert ode_str(o) == ("k^4*u_{xi:4} + 6*k^2*u*u_{xi:2} + 6*k^2*u_{xi:1}^2 "
                           "- c^2*u_{xi:2} + k^2*u_{xi:2}")
 
@@ -80,28 +80,23 @@ def test_frame_symbol_errors():
         f.symbol("z")
 
 
-def test_xi_at():
-    f = WaveFrame(("x", "y", "t"), False, {"k": 2.0, "m": 1.0, "c": 3.0})
-    assert f.xi_at({"x": 1.0, "y": 2.0, "t": 1.0}) == pytest.approx(7.0)
-
-
 # --- integration ----------------------------------------------------------
 
 def test_integrate_sww_once():
     d = run_pipeline(SWW_DSL, integrate=1)
-    assert ode_str(d["ode"]) == ("2*k^2*m*u_{xi:3} + c*k*p*u_{xi:1}^2 "
+    assert ode_str(d.ode) == ("2*k^2*m*u_{xi:3} + c*k*p*u_{xi:1}^2 "
                                  "+ c*k*q*u_{xi:1}^2 - 2*c*u_{xi:1} "
                                  "- 2*k*u_{xi:1}")
 
 
 def test_integrate_kp_twice():
     d = run_pipeline(KP_DSL, integrate=2)
-    assert ode_str(d["ode"]) == "k^4*u_{xi:2} + c*k*u - m^2*u + 3*k^2*u^2"
+    assert ode_str(d.ode) == "k^4*u_{xi:2} + c*k*u - m^2*u + 3*k^2*u^2"
 
 
 def test_integrate_boussinesq_twice():
     d = run_pipeline(BSQ_DSL, integrate=2)
-    assert ode_str(d["ode"]) == "k^4*u_{xi:2} - c^2*u + k^2*u + 3*k^2*u^2"
+    assert ode_str(d.ode) == "k^4*u_{xi:2} - c^2*u + k^2*u + 3*k^2*u^2"
 
 
 @pytest.mark.parametrize("dsl,times", [(SWW_DSL, 1), (KP_DSL, 2), (BSQ_DSL, 2)])
