@@ -144,6 +144,14 @@ def _check_flags(args):
         raise CliError(f"--degree must be at least 1, got {args.degree}")
 
 
+def _check_method(args, definition):
+    """Reject a method that the definition's order cannot use."""
+    if args.method == "subeq" and not definition.fractional and args.sigma is None:
+        raise CliError("method subeq requires a fractional definition or --sigma")
+    if args.method == "tanh" and definition.fractional:
+        raise CliError("method tanh applies to integer-order definitions")
+
+
 def _load_definition(target: str, method: str):
     if target in REGISTRY:
         entry = REGISTRY[target]
@@ -173,10 +181,7 @@ def _ode_str(o):
 def cmd_solve(args) -> int:
     _check_flags(args)
     entry, definition = _load_definition(args.pde, args.method)
-    if args.method == "subeq" and not definition.fractional and args.sigma is None:
-        raise CliError("method subeq requires a fractional definition or --sigma")
-    if args.method == "tanh" and definition.fractional:
-        raise CliError("method tanh applies to integer-order definitions")
+    _check_method(args, definition)
     params = _parse_params(args.params, entry and entry.figure_defaults)
     r = _run(definition, args.method, args.alpha,
              entry.integrate_times if entry else args.integrate, args.degree)
@@ -238,6 +243,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     _check_flags(args)
     entry, definition = _load_definition(args.pde, args.method)
+    _check_method(args, definition)
     params = _parse_params(args.params, entry and entry.figure_defaults)
     if not params:
         raise CliError("--params required for verification")
@@ -293,13 +299,16 @@ def cmd_figure(args) -> int:
 
     def rows_for(alpha):
         s = _figure_solution(n, params, alpha, args.sigma, args.omega, args.a0)
+        u_at = {}       # xi repeats across (x, t); one sheet, one solution
         lines = []
         for i in range(int(tg[2])):
             t = tg[0] + (tg[1] - tg[0]) * i / max(int(tg[2]) - 1, 1)
             for j in range(int(xg[2])):
                 x = xg[0] + (xg[1] - xg[0]) * j / max(int(xg[2]) - 1, 1)
                 xi = kv * x + cv * t        # fixed y = 0
-                u = s.u_of_xi(xi)
+                u = u_at.get(xi)
+                if u is None:
+                    u = u_at[xi] = s.u_of_xi(xi)
                 cols = (x, t, u) if alpha is None else (x, t, alpha, u)
                 lines.append(",".join(FMT % v for v in cols))
         return lines

@@ -96,10 +96,6 @@ class ClosedFormSolution:
         return -math.gamma(1.0 + self.alpha) / den
 
     def _gfn(self, name: str, x: float) -> float:
-        if self.alpha == 1.0 and self.variant == "classical":
-            fn = {"tanh": math.tanh, "tan": math.tan}.get(name)
-            if fn:
-                return fn(x)
         return generalized_fn(name, self.alpha, x, MLSeriesSpec(self.alpha))
 
     def u_of_xi(self, xi: float) -> float:

@@ -5,14 +5,17 @@ weakly-singular product-integration quadrature.
 """
 from __future__ import annotations
 
+import functools
 import math
-import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import mpmath
 
 DEFAULT_GUARD = 50.0
 _POLE_TOL = 1e-13
+_FALLBACK_DIGITS = 30
+_FLOAT_REL_TOL = 1e-13      # accepted rounding-error bound of the float series
 
 
 class DomainGuardExceeded(ValueError):
@@ -37,19 +40,36 @@ class EndpointTooClose(ValueError):
     pass
 
 
-def _precision_digits() -> int:
-    return int(os.environ.get("TWSOLVE_PRECISION", "30"))
-
-
-_GAMMA_CACHE = {}
+@functools.lru_cache(maxsize=32)
+def _gamma_row(alpha: float, dps: int) -> list:
+    """Gamma(1 + k*alpha) for k = 0, 1, ... at `dps` digits; `_gamma_1p`
+    appends entries as the series asks for them."""
+    return []
 
 
 def _gamma_1p(alpha: float, k: int):
-    """Gamma(1 + k*alpha) at the current working precision, cached."""
-    key = (mpmath.mp.dps, alpha, k)
-    if key not in _GAMMA_CACHE:
-        _GAMMA_CACHE[key] = mpmath.gamma(1 + k * alpha)
-    return _GAMMA_CACHE[key]
+    """Gamma(1 + k*alpha) at the current working precision.  k*alpha is
+    formed in mpmath: rounded to float first, it would carry a relative
+    error of 1e-16 that the cancellation at negative z magnifies."""
+    row = _gamma_row(alpha, mpmath.mp.dps)
+    while len(row) <= k:
+        row.append(mpmath.gamma(1 + len(row) * mpmath.mpf(alpha)))
+    return row[k]
+
+
+@functools.lru_cache(maxsize=32)
+def _inv_gamma_floats(alpha: float, truncation: int) -> tuple:
+    """1/Gamma(1 + k*alpha) rounded to float for k = 0..truncation, cut
+    before the first entry below the normal float range."""
+    out = []
+    with mpmath.workdps(_FALLBACK_DIGITS):
+        a = mpmath.mpf(alpha)
+        for k in range(truncation + 1):
+            v = float(mpmath.rgamma(1 + k * a))
+            if v < sys.float_info.min:
+                break
+            out.append(v)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -66,15 +86,41 @@ class MLSeriesSpec:
             raise ValueError("bad truncation/tolerance")
 
 
+def _ml_float(spec: MLSeriesSpec, z):
+    """The series in float (complex for complex z), or None unless it
+    converged to a finite sum whose rounding error, bounded by
+    4*k*eps*sum|t_k| over k terms, is within _FLOAT_REL_TOL of the sum."""
+    inv = _inv_gamma_floats(spec.alpha, spec.truncation)
+    total = size = power = 1.0
+    for k in range(1, len(inv)):
+        power *= z
+        term = power * inv[k]
+        total += term
+        mag = abs(term)
+        size += mag
+        if mag < spec.tolerance * max(abs(total), 1e-30):
+            break
+    else:
+        return None
+    if math.isfinite(size) and 4 * k * 2.0 ** -52 * size <= _FLOAT_REL_TOL * abs(total):
+        return total
+    return None
+
+
 def mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
-    """E_alpha(z) = sum_k z^k / Gamma(1 + k*alpha), by direct series with
-    extended-precision accumulation to control cancellation at negative z."""
+    """E_alpha(z) = sum_k z^k / Gamma(1 + k*alpha), by direct series: in
+    float when its rounding error is certified small, otherwise with
+    extended-precision accumulation to control cancellation at negative or
+    imaginary z."""
     if abs(z) > spec.domain_guard:
         raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {spec.domain_guard:g}")
+    fast = _ml_float(spec, z)
+    if fast is not None:
+        return fast
     # cancellation for negative/complex z eats ~|z|^(1/alpha)*log10(e) digits;
     # widen the working precision accordingly (capped)
     extra = int(min(0.5 * abs(z) ** (1.0 / spec.alpha), 200.0))
-    with mpmath.workdps(_precision_digits() + extra):
+    with mpmath.workdps(_FALLBACK_DIGITS + extra):
         zz = mpmath.mpmathify(z)
         total = mpmath.mpf(1)
         power = mpmath.mpf(1)
@@ -97,10 +143,10 @@ GENERALIZED_FN_NAMES = ("sinh", "cosh", "tanh", "coth", "sin", "cos", "tan", "co
 
 def generalized_fn(name: str, alpha: float, x: float,
                    spec: MLSeriesSpec = None) -> float:
-    """Generalized hyperbolic/trig functions: combinations of E_alpha(+/- x^alpha)
-    (imaginary arguments for the trig family) reducing to the classical
-    functions at alpha = 1. Requires x >= 0 since the argument enters as
-    x^alpha."""
+    """Generalized hyperbolic/trig functions: cosh_alpha(x) = E_2alpha(x^2alpha),
+    sinh_alpha(x) = E_alpha(x^alpha) - cosh_alpha(x), and the trig family from
+    E_alpha(+/- i x^alpha), reducing to the classical functions at alpha = 1.
+    Requires x >= 0 since the argument enters as x^alpha."""
     if name not in GENERALIZED_FN_NAMES:
         raise ValueError(f"unknown generalized function {name!r}")
     if x < 0:
@@ -108,10 +154,12 @@ def generalized_fn(name: str, alpha: float, x: float,
     spec = spec or MLSeriesSpec(alpha)
     xa = x ** alpha
     if name in ("sinh", "cosh", "tanh", "coth"):
+        # cosh_a(x) = E_2a(x^2a) holds the even terms of E_a(x^a), so both
+        # series sum positive terms and E_a(-x^a) is never formed
         ep = mittag_leffler(spec, xa)
-        em = mittag_leffler(spec, -xa)
-        sinh_a = (ep - em) / 2.0
-        cosh_a = (ep + em) / 2.0
+        cosh_a = mittag_leffler(replace(spec, alpha=2 * spec.alpha,
+                                        domain_guard=spec.domain_guard ** 2), xa * xa)
+        sinh_a = ep - cosh_a
         if name == "sinh":
             return sinh_a
         if name == "cosh":

@@ -7,6 +7,9 @@ import pytest
 from twsolve import cli
 from twsolve.cli import main
 
+TOY = "pde toy vars(x,t) params() : u_xx = u*u_t"
+TOY_FRAC = "pde toy vars(x,t) params() frac(alpha) : u_{x:2} = u*u_{t:1}"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -109,6 +112,8 @@ def test_verify_fractional_fails_on_violated_constraint(capsys):
     ("figure", "1", "--sigma", "0"),
     ("figure", "2", "--alphas", "1.5"),
     ("figure", "4", "--alphas", "0.8,0"),
+    ("verify", TOY_FRAC, "--params", "k=1,c=2"),
+    ("verify", TOY, "--method", "subeq", "--params", "k=1,c=2"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     def no_stage(*args, **kwargs):

@@ -20,6 +20,7 @@ from twsolve.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 TOY = "pde toy vars(x,t) params() : u_xx = u*u_t"
+TOY_FRAC = "pde toy vars(x,t) params() frac(alpha) : u_{x:2} = u*u_{t:1}"
 KDV = "pde kdv vars(x,t) params() : u_t + 6*u*u_x + u_xxx = 0"
 BURGERS = "pde burgers vars(x,t) params() : u_t + u*u_x = u_xx"
 KDV5 = "pde a vars(x,t) params() : u_t + u*u_x + u_xxxxx = 0"
@@ -93,6 +94,7 @@ CASES = {
     "error_branch": ["verify", "sww", "--branch", "3"],
     "error_verify_no_params": ["verify", TOY],
     "error_subeq_integer": ["solve", TOY, "--method", "subeq"],
+    "error_verify_tanh_fractional": ["verify", TOY_FRAC, "--params", "k=1,c=2"],
     "error_syntax": ["solve", "pde bad vars(x,t) params() : u_x = = u"],
     "error_degree_zero": ["solve", TOY, "--degree", "0"],
     "error_params_inf": ["solve", "sww", "--params", "k=inf"],

@@ -2,13 +2,52 @@
 modified Riemann-Liouville derivative kernels."""
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twsolve import (
-    DomainGuardExceeded, GammaPole, MLSeriesSpec, PoleAt, PowerLawTerm,
-    generalized_fn, jumarie_power_rule, jumarie_quadrature, mittag_leffler,
+    DomainGuardExceeded, GammaPole, MLSeriesSpec, NonConvergence, PoleAt,
+    PowerLawTerm, generalized_fn, jumarie_power_rule, jumarie_quadrature,
+    mittag_leffler,
 )
+from twsolve.special_fn import _ml_float
+
+REF_DIGITS = 40
+
+
+def ml_ref(alpha, z):
+    """E_alpha(z) by the series at REF_DIGITS digits, widened by the digits
+    that cancellation at negative or imaginary z costs."""
+    with mpmath.workdps(REF_DIGITS + int(abs(z) ** (1.0 / alpha)) + 10):
+        z, a = mpmath.mpmathify(z), mpmath.mpf(alpha)
+        eps = mpmath.mpf(10) ** -(REF_DIGITS + 5)
+        total = power = mpmath.mpf(1)
+        k = 0
+        while True:
+            k += 1
+            power *= z
+            term = power / mpmath.gamma(1 + k * a)
+            total += term
+            if abs(term) < eps * max(abs(total), 1) and k > abs(z) ** (1 / alpha):
+                return total
+
+
+def generalized_ref(alpha, x, trig=False):
+    """Every generalized function of one family at x, from the reference
+    series at E_alpha(+/- x^alpha), imaginary for the trig family."""
+    with mpmath.workdps(REF_DIGITS):
+        xa = mpmath.mpf(x) ** mpmath.mpf(alpha)
+    unit = 1j if trig else 1
+    ep, em = ml_ref(alpha, unit * xa), ml_ref(alpha, -unit * xa)
+    with mpmath.workdps(REF_DIGITS):
+        odd, even = mpmath.re((ep - em) / (2 * unit)), mpmath.re((ep + em) / 2)
+        names = ("sin", "cos", "tan", "cot") if trig else ("sinh", "cosh", "tanh", "coth")
+        return dict(zip(names, (odd, even, odd / even, even / odd)))
+
+
+def rel_err(got, want):
+    return abs(got - complex(want)) / abs(complex(want))
 
 
 # --- Mittag-Leffler -------------------------------------------------------
@@ -52,7 +91,6 @@ def test_ml_truncation_stability(alpha, z):
     """Doubling the term cap changes nothing once the tail test passes; when
     the cap is genuinely too small (small alpha, large |z|) both calls must
     report NonConvergence rather than return a bad value."""
-    from twsolve import NonConvergence
     try:
         a = mittag_leffler(MLSeriesSpec(alpha, truncation=400), z)
     except NonConvergence:
@@ -63,7 +101,68 @@ def test_ml_truncation_stability(alpha, z):
     assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
 
 
+@pytest.mark.parametrize("z", [-6.0, -8.0, -10.0])
+def test_ml_negative_real_axis(z):
+    """At large negative z the series cancels to ~|z|^(1/alpha) lost digits;
+    1 + k*alpha must be formed at the working precision, not in float
+    (E_0.6(-10) = 0.0466, E_0.6(-8) = +0.0586)."""
+    assert rel_err(mittag_leffler(MLSeriesSpec(0.6), z), ml_ref(0.6, z)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+def test_ml_accuracy_contract(alpha):
+    """E_alpha within 1e-13 relative error on z in [-10, 10] and [-5i, 5i].
+    E_0.5 at z <= -8 needs more than the default 400 terms (about 620 at
+    -10): there the default spec raises NonConvergence, and a doubled cap
+    meets the same bound."""
+    spec = MLSeriesSpec(alpha)
+    zs = [-10.0 + 0.5 * i for i in range(41)] + [0.5j * i for i in range(-10, 11)]
+    for z in zs:
+        try:
+            got = mittag_leffler(spec, z)
+        except NonConvergence:
+            assert alpha == 0.5 and z.real <= -8, z
+            got = mittag_leffler(MLSeriesSpec(alpha, truncation=800), z)
+        assert rel_err(got, ml_ref(alpha, z)) <= 1e-13, z
+
+
+def test_ml_float_path_serves_hyperbolic_arguments():
+    """E_alpha(x^alpha) and E_2alpha(x^2alpha), which the hyperbolic family
+    sums at the figure alphas and x <= 10.5, need no fallback."""
+    for alpha in (0.7, 0.8, 0.9, 1.0):
+        for x in (0.0, 0.1, 1.0, 10.5):
+            xa = x ** alpha
+            assert _ml_float(MLSeriesSpec(alpha), xa) is not None, (alpha, x)
+            assert _ml_float(MLSeriesSpec(2 * alpha), xa * xa) is not None, (alpha, x)
+
+
 # --- generalized functions ------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.3, 0.45, 0.6, 0.75, 0.9, 1.0])
+def test_generalized_hyperbolic_accuracy_contract(alpha):
+    """tanh/coth/sinh/cosh within 1e-13 relative error on x in [0.05, 10.5]."""
+    for x in [0.05, 0.25, 0.5] + [0.5 * i for i in range(2, 22)]:
+        for name, want in generalized_ref(alpha, x).items():
+            assert rel_err(generalized_fn(name, alpha, x), want) <= 1e-13, (name, x)
+
+
+def test_generalized_small_x_absolute_error():
+    """tanh and sinh near x = 0 within 1e-15 absolute error."""
+    for alpha in (0.3, 0.5, 0.8, 1.0):
+        for x in (1e-8, 1e-5, 1e-3, 2.5e-3, 5e-3):
+            ref = generalized_ref(alpha, x)
+            for name in ("tanh", "sinh"):
+                assert abs(generalized_fn(name, alpha, x) - ref[name]) <= 1e-15, \
+                    (name, alpha, x)
+
+
+def test_generalized_trig_fallback_matches_reference():
+    """tan_0.6(5) sums E_0.6(+/- 2.63i) with cancellation, so the mpmath
+    series serves it."""
+    assert _ml_float(MLSeriesSpec(0.6), 1j * 5.0 ** 0.6) is None
+    want = generalized_ref(0.6, 5.0, trig=True)["tan"]
+    assert rel_err(generalized_fn("tan", 0.6, 5.0), want) <= 1e-13
+
 
 def test_generalized_alpha1_reductions():
     for x in (0.5, 1.0, 2.0):
