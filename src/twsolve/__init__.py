@@ -7,8 +7,8 @@ solve the coefficient-matching system by exact triangular branch enumeration,
 materialize the closed-form solution families, and verify them by residual.
 """
 from .pde_ast import (
-    Expr, MixedOrderError, PdeDefinition, PdeSyntaxError, Term,
-    UndeclaredSymbolError, parse_pde, print_pde,
+    MixedOrderError, PdeDefinition, PdeSyntaxError, UndeclaredSymbolError,
+    parse_pde, print_pde,
 )
 from .travelling_wave import (
     FrameError, NotExactDerivative, ReducedOde, WaveFrame, integrate_decay,

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .phi_calculus import PhiPolynomial
-from .rational_poly import Poly, RationalFn, mono_str
+from .rational_poly import Poly, RationalFn, factor_str
 
 BRANCH_CAP = 64
 
@@ -68,9 +68,7 @@ def extract_system(pp: PhiPolynomial) -> CoefficientSystem:
             continue
         poly, (c, mono) = poly.primitive(params)
         equations.append((d, poly))
-        factor = (f"{c}" if c != 1 else "") + ("*" if c != 1 and mono else "") + \
-                 (mono_str(mono) if mono else "")
-        cleared.append((d, factor or "1"))
+        cleared.append((d, factor_str(c, mono)))
     return CoefficientSystem(tuple(equations), pp.unknowns, pp.parameters, tuple(cleared))
 
 

@@ -6,18 +6,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pde_ast import expr_to_str, parse_pde, print_pde
-from .phi_calculus import SubEquationProfile
+from .pde_ast import expr_to_str, jet_multi, jet_variables, parse_pde, print_pde
+from .phi_calculus import SIGMA, SubEquationProfile
 from .pipeline import run
 from .solution_verify import (
     DEFAULT_GRID, FRACTIONAL_GRID, residual_fractional, residual_ode, residual_pde,
 )
 from .special_fn import MLSeriesSpec, generalized_fn, mittag_leffler
-from .travelling_wave import XI
+from .travelling_wave import FRAME_SYMBOLS, XI
 
 FMT = "%.12e"
 
@@ -133,7 +134,16 @@ def _parse_grid(text, default):
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError("--grid expects lo:hi:n")
-    return (float(parts[0]), float(parts[1]), int(parts[2]))
+    lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"grid bounds must be finite, got {text!r}")
+    return (lo, hi, int(parts[2]))
+
+
+def _exact_axis(text, grid):
+    """Exact (start, step) of a lo:hi:n grid, read from its text."""
+    lo, hi = map(Fraction, text.split(":")[:2] if text else grid[:2])
+    return lo, (hi - lo) / max(grid[2] - 1, 1)
 
 
 def _check_flags(args):
@@ -150,6 +160,23 @@ def _check_method(args, definition):
         raise CliError("method subeq requires a fractional definition or --sigma")
     if args.method == "tanh" and definition.fractional:
         raise CliError("method tanh applies to integer-order definitions")
+
+
+def _check_params(params, definition, method):
+    """Reject --params names that no stage reads and symbols that the
+    solutions need but that stay unbound."""
+    e = definition.lhs_minus_rhs
+    frame = {FRAME_SYMBOLS[v] for v in definition.variables}
+    allowed = set(definition.parameters) | frame | ({SIGMA} if method == "subeq" else set())
+    unknown = sorted(set(params) - allowed)
+    if unknown:
+        raise CliError(f"unknown --params name(s) {', '.join(unknown)}; "
+                       f"expected among {', '.join(sorted(allowed))}")
+    required = {FRAME_SYMBOLS[v] for v in jet_variables(e)} | \
+        {s for s in e.symbols() if jet_multi(s) is None}
+    missing = sorted(required - set(params))
+    if missing:
+        raise CliError(f"--params must bind {', '.join(missing)}")
 
 
 def _load_definition(target: str, method: str):
@@ -183,6 +210,8 @@ def cmd_solve(args) -> int:
     entry, definition = _load_definition(args.pde, args.method)
     _check_method(args, definition)
     params = _parse_params(args.params, entry and entry.figure_defaults)
+    if params:
+        _check_params(params, definition, args.method)
     r = _run(definition, args.method, args.alpha,
              entry.integrate_times if entry else args.integrate, args.degree)
 
@@ -247,6 +276,7 @@ def cmd_verify(args) -> int:
     params = _parse_params(args.params, entry and entry.figure_defaults)
     if not params:
         raise CliError("--params required for verification")
+    _check_params(params, definition, args.method)
     r = _run(definition, args.method, args.alpha,
              entry.integrate_times if entry else args.integrate, args.degree)
     if not 0 <= args.branch < len(r.branches):
@@ -295,7 +325,13 @@ def cmd_figure(args) -> int:
     params = _parse_params(args.params, entry.figure_defaults)
     xg = _parse_grid(args.xgrid, (-10.0, 10.0, 201))
     tg = _parse_grid(args.tgrid, (0.0, 5.0, 51))
-    kv, cv = float(params["k"]), float(params["c"])
+    # xi = k*x + c*t (fixed y = 0) exactly, from the grid text: the row
+    # (i, j) has xi = (a + j*b + i*d) / den with integer numerators
+    (x0, dx), (t0, dt) = _exact_axis(args.xgrid, xg), _exact_axis(args.tgrid, tg)
+    k, c = Fraction(params["k"]), Fraction(params["c"])
+    steps = (k * x0 + c * t0, k * dx, c * dt)
+    den = math.lcm(*(q.denominator for q in steps))
+    a, b, d = (q.numerator * (den // q.denominator) for q in steps)
 
     def rows_for(alpha):
         s = _figure_solution(n, params, alpha, args.sigma, args.omega, args.a0)
@@ -305,7 +341,7 @@ def cmd_figure(args) -> int:
             t = tg[0] + (tg[1] - tg[0]) * i / max(int(tg[2]) - 1, 1)
             for j in range(int(xg[2])):
                 x = xg[0] + (xg[1] - xg[0]) * j / max(int(xg[2]) - 1, 1)
-                xi = kv * x + cv * t        # fixed y = 0
+                xi = (a + j * b + i * d) / den
                 u = u_at.get(xi)
                 if u is None:
                     u = u_at[xi] = s.u_of_xi(xi)

@@ -1,10 +1,11 @@
-"""Expression representation and text front-end for PDE definitions.
+"""Jet-symbol polynomials and the text front-end for PDE definitions.
 
-An Expr is a normalized sum of terms; each term is an exact rational
-coefficient times a monomial in parameter symbols and derivative-of-u
-factors. Derivatives of products/powers are pushed onto atomic u-factors
-by the product rule, so a normalized Expr never contains an unexpanded
-derivative operator. In fractional mode derivative orders count integer
+A PDE is a `Poly` with exact rational coefficients over parameter symbols
+and jet symbols.  A jet symbol names u itself (`u`) or one derivative of it
+(`u_{t:1,x:2}`, variables sorted); DSL parameters have no underscore, so
+the two never collide.  Derivatives of products and powers are pushed onto
+the jets by the product rule, so a definition never holds an unexpanded
+derivative operator.  In fractional mode derivative orders count integer
 multiples of the single order symbol alpha.
 """
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+from .rational_poly import Poly, mono_str
 
 # ---------------------------------------------------------------------------
 # errors
@@ -35,130 +39,67 @@ class MixedOrderError(PdeSyntaxError):
 
 
 # ---------------------------------------------------------------------------
-# terms and expressions
+# jet symbols
 
-# A derivative factor is (multi, power): multi is a sorted tuple of
-# (variable, order) pairs with order > 0; the empty tuple is u itself.
-# Params is a sorted tuple of (symbol, exponent) pairs.
-
-@dataclass(frozen=True)
-class Term:
-    coeff: Fraction
-    params: tuple
-    factors: tuple
-
-    def signature(self):
-        return (self.params, self.factors)
-
-    def total_deriv_order(self) -> int:
-        return sum(p * sum(o for _, o in multi) for multi, p in self.factors)
+def jet(multi: dict) -> str:
+    """Jet symbol of the derivative multi-index `multi` (variable -> order)."""
+    pairs = sorted((v, o) for v, o in multi.items() if o)
+    return "u_{%s}" % ",".join(f"{v}:{o}" for v, o in pairs) if pairs else "u"
 
 
-def _merge_powers(pairs):
-    acc = {}
-    for key, e in pairs:
-        acc[key] = acc.get(key, 0) + e
-    return tuple(sorted((k, e) for k, e in acc.items() if e != 0))
+@lru_cache(maxsize=4096)
+def jet_multi(sym: str):
+    """Sorted (variable, order) pairs of a jet symbol; None for a parameter."""
+    if sym == "u":
+        return ()
+    if not sym.startswith("u_{"):
+        return None
+    return tuple((v, int(o)) for v, o in (p.split(":") for p in sym[3:-1].split(",")))
 
 
-def _term_sort_key(t: Term):
-    return (-t.total_deriv_order(), t.factors, t.params)
+def jet_order(sym: str):
+    """Total derivative order of a jet symbol; None for a parameter."""
+    multi = jet_multi(sym)
+    return None if multi is None else sum(o for _, o in multi)
 
 
-@dataclass(frozen=True)
-class Expr:
-    terms: tuple = ()
-
-    @classmethod
-    def from_terms(cls, terms) -> "Expr":
-        acc = {}
-        for t in terms:
-            sig = t.signature()
-            acc[sig] = acc.get(sig, Fraction(0)) + t.coeff
-        out = [Term(c, p, f) for (p, f), c in acc.items() if c != 0]
-        out.sort(key=_term_sort_key)
-        return cls(tuple(out))
-
-    @classmethod
-    def number(cls, c) -> "Expr":
-        c = Fraction(c)
-        if c == 0:
-            return cls()
-        return cls((Term(c, (), ()),))
-
-    @classmethod
-    def param(cls, sym: str) -> "Expr":
-        return cls((Term(Fraction(1), ((sym, 1),), ()),))
-
-    @classmethod
-    def u_deriv(cls, multi: dict) -> "Expr":
-        m = tuple(sorted((v, o) for v, o in multi.items() if o))
-        return cls((Term(Fraction(1), (), ((m, 1),)),))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Expr") -> "Expr":
-        return Expr.from_terms(self.terms + other.terms)
-
-    def __neg__(self) -> "Expr":
-        return Expr(tuple(Term(-t.coeff, t.params, t.factors) for t in self.terms))
-
-    def __sub__(self, other: "Expr") -> "Expr":
-        return self + (-other)
-
-    def __mul__(self, other: "Expr") -> "Expr":
-        out = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                out.append(Term(
-                    t1.coeff * t2.coeff,
-                    _merge_powers(t1.params + t2.params),
-                    _merge_powers(t1.factors + t2.factors),
-                ))
-        return Expr.from_terms(out)
-
-    def __pow__(self, n: int) -> "Expr":
-        if n < 1:
-            raise ValueError("powers must be >= 1")
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
-
-    def scale(self, c) -> "Expr":
-        c = Fraction(c)
-        if c == 0:
-            return Expr()
-        return Expr(tuple(Term(t.coeff * c, t.params, t.factors) for t in self.terms))
-
-    def variables(self) -> set:
-        return {v for t in self.terms for multi, _ in t.factors for v, _ in multi}
+def split_mono(m) -> tuple:
+    """(parameter part, jet part) of a monomial, each a monomial."""
+    return (tuple(p for p in m if jet_multi(p[0]) is None),
+            tuple(p for p in m if jet_multi(p[0]) is not None))
 
 
-def differentiate(e: Expr, var: str) -> Expr:
-    """One derivative unit with respect to `var` (one alpha unit in
-    fractional mode), pushed onto atomic u-factors by the product rule."""
-    out = []
-    for t in e.terms:
-        for i, (multi, power) in enumerate(t.factors):
-            bumped = _merge_powers(multi + ((var, 1),))
-            rest = t.factors[:i] + t.factors[i + 1:]
-            new_factors = _merge_powers(rest + ((multi, power - 1), (bumped, 1)))
-            out.append(Term(t.coeff * power, t.params, new_factors))
-    return Expr.from_terms(out)
+@lru_cache(maxsize=4096)
+def term_key(m) -> tuple:
+    """Print order of a monomial: highest total derivative order first, then
+    by its sorted (derivative multi-index, power) factors, then by its
+    parameters.  Returns (-order, factors, parameters)."""
+    params, jets = split_mono(m)
+    factors = tuple(sorted((jet_multi(s), e) for s, e in jets))
+    return (-sum(e * jet_order(s) for s, e in jets), factors, params)
 
 
-def expand_derivatives(e: Expr, multi: dict = None) -> Expr:
-    """Apply the derivative multi-index `multi` to `e`, expanding products.
+def jet_variables(e: Poly) -> set:
+    """Variables that some jet of `e` is differentiated by."""
+    return {v for s in e.symbols() for v, _ in jet_multi(s) or ()}
 
-    Normalized Exprs carry derivatives only on atomic u-factors, so with no
-    multi-index this is the identity (normalization is idempotent).
-    """
-    if not multi:
-        return Expr.from_terms(e.terms)
-    for var in sorted(multi):
+
+def differentiate(e: Poly, var: str) -> Poly:
+    """Total derivative by one unit of `var` (one alpha unit in fractional
+    mode): the sum over jets J of dP/dJ * u_{J+var}."""
+    out = Poly()
+    for sym in sorted(e.symbols()):
+        multi = jet_multi(sym)
+        if multi is not None:
+            bumped = dict(multi)
+            bumped[var] = bumped.get(var, 0) + 1
+            out = out + e.derivative(sym) * Poly.var(jet(bumped))
+    return out
+
+
+def expand_derivatives(e: Poly, multi: dict = None) -> Poly:
+    """Apply the derivative multi-index `multi` to `e`, expanding products."""
+    for var in sorted(multi or {}):
         for _ in range(multi[var]):
             e = differentiate(e, var)
     return e
@@ -172,14 +113,13 @@ class PdeDefinition:
     name: str
     variables: tuple
     parameters: tuple
-    lhs_minus_rhs: Expr
+    lhs_minus_rhs: Poly
     fractional: bool = False
     alpha_symbol: str = "alpha"
 
     def __post_init__(self):
-        declared = set(self.variables)
-        for v in self.lhs_minus_rhs.variables():
-            if v not in declared:
+        for v in jet_variables(self.lhs_minus_rhs):
+            if v not in self.variables:
                 raise UndeclaredSymbolError(f"undeclared variable {v!r}")
 
 
@@ -280,32 +220,34 @@ class _Parser:
         return names
 
     # -- expressions -------------------------------------------------------
-    def parse_expr(self) -> Expr:
+    def parse_expr(self) -> Poly:
         sign = 1
         if self.peek()[1] == "-":
             self.next()
             sign = -1
-        e = self.parse_term().scale(sign)
+        e = self.parse_term() * sign
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             t = self.parse_term()
             e = e + (t if op == "+" else -t)
         return e
 
-    def parse_term(self) -> Expr:
+    def parse_term(self) -> Poly:
         e = self.parse_factor()
         while self.peek()[1] == "*":
             self.next()
             e = e * self.parse_factor()
         return e
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self) -> Poly:
         e = self.parse_primary()
         if self.peek()[1] == "^":
             save = self.i
             self.next()
             kind, val, pos = self.next()
             if kind == "int":
+                if int(val) < 1:
+                    raise PdeSyntaxError("exponent must be at least 1", pos, self.text)
                 e = e ** int(val)
             else:
                 self.i = save
@@ -344,7 +286,7 @@ class _Parser:
                 multi = {v: o * n for v, o in multi.items()}
         return multi
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self) -> Poly:
         kind, val, pos = self.next()
         if kind == "int":
             num = int(val)
@@ -353,8 +295,8 @@ class _Parser:
                 dkind, dval, dpos = self.next()
                 if dkind != "int":
                     raise PdeSyntaxError("expected integer denominator", dpos, self.text)
-                return Expr.number(Fraction(num, int(dval)))
-            return Expr.number(num)
+                return Poly.const(Fraction(num, int(dval)))
+            return Poly.const(num)
         if val == "(":
             e = self.parse_expr()
             self.expect(")")
@@ -369,9 +311,9 @@ class _Parser:
                 if self.peek()[0] == "deriv":
                     dkind, dval, dpos = self.next()
                     multi = self._parse_deriv_suffix(dval, dpos)
-                return Expr.u_deriv(multi)
+                return Poly.var(jet(multi))
             if val in self.parameters:
-                return Expr.param(val)
+                return Poly.var(val)
             raise UndeclaredSymbolError(f"undeclared parameter {val!r}", pos, self.text)
         raise PdeSyntaxError(f"unexpected token {val!r}", pos, self.text)
 
@@ -400,20 +342,19 @@ def _factor_str(multi, power, variables, fractional) -> str:
     return body
 
 
-def expr_to_str(e: Expr, variables, fractional=False) -> str:
+def expr_to_str(e: Poly, variables, fractional=False) -> str:
     if e.is_zero:
         return "0"
     chunks = []
-    for t in e.terms:
-        parts = []
-        c = abs(t.coeff)
-        if c != 1 or (not t.params and not t.factors):
-            parts.append(str(c))
-        for sym, exp in t.params:
-            parts.append(sym if exp == 1 else f"{sym}^{exp}")
-        for multi, power in t.factors:
+    for m in sorted(e.terms, key=term_key):
+        _, factors, params = term_key(m)
+        c = e.terms[m]
+        parts = [str(abs(c))] if abs(c) != 1 or not m else []
+        if params:
+            parts.append(mono_str(params))
+        for multi, power in factors:
             parts.append(_factor_str(multi, power, variables, fractional))
-        chunks.append(("- " if t.coeff < 0 else "+ ") + "*".join(parts))
+        chunks.append(("- " if c < 0 else "+ ") + "*".join(parts))
     s = " ".join(chunks)
     return s[2:] if s.startswith("+ ") else "-" + s[2:]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .pde_ast import jet_order, split_mono
 from .rational_poly import Poly
 from .travelling_wave import ReducedOde
 
@@ -52,9 +53,6 @@ class PhiDiffTable:
     """rows[j] represents D^j_xi as sum_d rows[j][d](phi) * (d/dphi)^d."""
     profile: SubEquationProfile
     rows: tuple   # rows[j] for j = 1..maxOrder, each a dict d -> Poly
-
-    def max_order(self) -> int:
-        return len(self.rows)
 
     def row(self, j: int) -> dict:
         return self.rows[j - 1]
@@ -120,12 +118,9 @@ def balance_degree(o: ReducedOde, profile: SubEquationProfile = None) -> int:
     """Homogeneous balance: under a degree-n ansatz each factor u^(j) has
     phi-degree n + j, so a term's degree is linear in n; n equates the two
     dominant term degrees."""
-    lines = set()
-    for t in o.expr.terms:
-        a = sum(p for _, p in t.factors)
-        b = sum(p * (multi[0][1] if multi else 0) for multi, p in t.factors)
-        lines.add((a, b))
-    lines = sorted(lines)
+    jet_parts = (split_mono(m)[1] for m in o.expr.terms)
+    lines = sorted({(sum(e for _, e in jets), sum(e * jet_order(s) for s, e in jets))
+                    for jets in jet_parts})
     has_deriv = any(b > 0 for _, b in lines)
     has_nonlinear = any(a > 1 for a, _ in lines)
     if not (has_deriv and has_nonlinear):
@@ -170,22 +165,10 @@ def substitute_ansatz(o: ReducedOde, a: Ansatz, profile: SubEquationProfile) -> 
     """Replace every u^(j) via the derivative table applied to the ansatz
     polynomial and collect the result as a polynomial identity in phi.
     Common phi-factors are intentionally not divided out."""
-    max_order = 0
-    for t in o.expr.terms:
-        for multi, _ in t.factors:
-            if multi:
-                max_order = max(max_order, multi[0][1])
-    table = derivative_table(profile, max_order) if max_order else None
+    orders = {sym: j for sym in o.expr.symbols() if (j := jet_order(sym)) is not None}
+    table = derivative_table(profile, max([1, *orders.values()]))
     s = a.poly()
-    total = Poly()
-    for t in o.expr.terms:
-        term = Poly.const(t.coeff)
-        for sym, e in t.params:
-            term = term * Poly.var(sym, e)
-        for multi, power in t.factors:
-            j = multi[0][1] if multi else 0
-            term = term * (table.apply(j, s) if j else s) ** power
-        total = total + term
+    total = o.expr.substitute({sym: table.apply(j, s) for sym, j in orders.items()})
     uni = total.as_univariate(PHI)
     deg = max(uni) if uni else 0
     coefficients = tuple(uni.get(d, Poly()) for d in range(deg + 1))

@@ -34,6 +34,11 @@ def _mono_sort_key(m: Mono):
     return (-mono_degree(m), m)
 
 
+def factor_str(c: Fraction, m: Mono) -> str:
+    """The cleared factor c*m as logged; "1" when there is none."""
+    return "*".join(([str(c)] if c != 1 else []) + ([mono_str(m)] if m else [])) or "1"
+
+
 def rational_content(coeffs) -> Fraction:
     """Positive rational c such that every coeff/c is an integer and their
     gcd is 1; 1 when there are no coefficients."""
@@ -209,25 +214,25 @@ class Poly:
         c = Fraction(c)
         return Poly({m: cc / c for m, cc in self.terms.items()})
 
-    def leading_sign(self) -> int:
-        """Sign of the coefficient of the canonically-first monomial."""
+    def leading_sign(self, key=_mono_sort_key) -> int:
+        """Sign of the coefficient of the first monomial in `key` order."""
         if self.is_zero:
             return 0
-        m = min(self.terms, key=_mono_sort_key)
+        m = min(self.terms, key=key)
         return 1 if self.terms[m] > 0 else -1
 
-    def primitive(self, syms=None):
+    def primitive(self, syms=None, key=_mono_sort_key):
         """Return (normalized poly, cleared factor (coeff, mono)).
 
         Divides out rational content and the monomial content (in `syms`
-        only, when given) and flips the sign so the canonically-leading
-        coefficient is positive.
+        only, when given) and flips the sign so the coefficient of the first
+        monomial in `key` order is positive.
         """
         if self.is_zero:
             return self, (Fraction(1), ONE_MONO)
         mono = self.monomial_content(syms)
         p = self.divide_monomial(mono)
-        c = p.rational_content() * p.leading_sign()
+        c = p.rational_content() * p.leading_sign(key)
         return p.divide_const(c), (c, mono)
 
     def try_divide(self, d: "Poly"):
@@ -255,18 +260,21 @@ class Poly:
         return Poly(q)
 
     def substitute(self, vals: dict) -> "Poly":
-        """Substitute exact rational values (or Polys) for some symbols."""
-        result = Poly()
+        """Substitute exact rational values (or Polys) for some symbols;
+        each power of a substituted symbol is formed once."""
+        powers = {}
+        out = {}
         for m, c in self.terms.items():
-            term = Poly.const(c)
-            for s, e in m:
-                if s in vals:
-                    v = vals[s]
-                    term = term * (v ** e if isinstance(v, Poly) else Poly.const(Fraction(v) ** e))
-                else:
-                    term = term * Poly.var(s, e)
-            result = result + term
-        return result
+            term = Poly({tuple(p for p in m if p[0] not in vals): c})
+            for p in m:
+                if p[0] in vals:
+                    if p not in powers:
+                        v = vals[p[0]]
+                        powers[p] = v ** p[1] if isinstance(v, Poly) else Fraction(v) ** p[1]
+                    term = term * powers[p]
+            for k, v in term.terms.items():
+                out[k] = out.get(k, 0) + v
+        return Poly(out)
 
     def eval(self, vals: dict):
         """Fully numeric evaluation; every symbol must be bound."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pde_ast import PdeDefinition
+from .pde_ast import PdeDefinition, jet_multi, jet_order, term_key
 from .phi_calculus import PHI, SubEquationProfile, derivative_table
 from .rational_poly import Poly
 from .travelling_wave import ReducedOde, WaveFrame
@@ -247,36 +247,29 @@ def _residual_profile(s: ClosedFormSolution) -> SubEquationProfile:
     return SubEquationProfile.riccati(_as_fraction(s.sigma))
 
 
-def _residual_poly(terms, order_of, scale_of, s: ClosedFormSolution,
-                   param_values: dict) -> Poly:
-    """Collapse an expression to a single exact polynomial R(phi)."""
+def _residual_poly(e: Poly, s: ClosedFormSolution, param_values: dict,
+                   rate=lambda var: 1) -> Poly:
+    """Collapse `e` to a single exact polynomial R(phi): each parameter takes
+    its bound value and each jet u_J becomes D^|J| of the solution
+    polynomial times rate(var)^order for every variable of J."""
     vals = {k: _as_fraction(v) for k, v in param_values.items()}
-    max_order = max((order_of(multi) for t in terms for multi, _ in t.factors
-                     if multi), default=0)
-    profile = _residual_profile(s)
-    table = derivative_table(profile, max_order) if max_order else None
+    syms = sorted(e.symbols())
+    max_order = max([1] + [jet_order(sym) or 0 for sym in syms])
+    table = derivative_table(_residual_profile(s), max_order)
     S = _solution_phi_poly(s)
-    R = Poly()
-    for t in terms:
-        c = _as_fraction(t.coeff)
-        for sym, e in t.params:
-            if sym not in vals:
-                raise KeyError(f"unbound parameter {sym!r}")
-            c = c * vals[sym] ** e
-        term = Poly.const(c)
-        for multi, power in t.factors:
-            j = order_of(multi) if multi else 0
-            c2 = scale_of(multi) if multi else Fraction(1)
-            fac = table.apply(j, S) if j else S
-            term = term * Poly.const(c2 ** power) * fac ** power
-        R = R + term
     sub = {}
-    for sym in R.symbols():
-        if sym != PHI:
+    for sym in syms:
+        multi = jet_multi(sym)
+        if multi is None:
             if sym not in vals:
                 raise KeyError(f"unbound parameter {sym!r}")
             sub[sym] = vals[sym]
-    return R.substitute(sub) if sub else R
+        else:
+            scale = Fraction(1)
+            for var, o in multi:
+                scale *= _as_fraction(rate(var)) ** o
+            sub[sym] = table.apply(jet_order(sym), S) * scale
+    return e.substitute(sub)
 
 
 def _grid_points(grid):
@@ -322,29 +315,14 @@ def residual_pde(s: ClosedFormSolution, p: PdeDefinition,
     one frame factor per order)."""
     fv = {k: _as_fraction(v) for k, v in s.frame.values.items()}
     fv.update(dict(s.params))
-
-    def order_of(multi):
-        return sum(o for _, o in multi)
-
-    def scale_of(multi):
-        c = Fraction(1)
-        for var, o in multi:
-            c *= fv[s.frame.symbol(var)] ** o
-        return c
-
-    R = _residual_poly(p.lhs_minus_rhs.terms, order_of, scale_of, s, fv)
+    R = _residual_poly(p.lhs_minus_rhs, s, fv, lambda var: fv[s.frame.symbol(var)])
     return _report_from_R(R, s, grid, "originalPde")
 
 
 def residual_ode(s: ClosedFormSolution, o: ReducedOde, param_values: dict,
                  grid=DEFAULT_GRID) -> ResidualReport:
     """Residual of the reduced ODE (exact phi-algebra route)."""
-    def order_of(multi):
-        return multi[0][1]
-
-    vals = dict(s.params)
-    vals.update(param_values)
-    R = _residual_poly(o.expr.terms, order_of, lambda m: Fraction(1), s, vals)
+    R = _residual_poly(o.expr, s, {**dict(s.params), **param_values})
     return _report_from_R(R, s, grid, "reducedOde")
 
 
@@ -393,21 +371,25 @@ def residual_fractional(s: ClosedFormSolution, o: ReducedOde,
     if lo <= 0:
         raise ValueError("fractional grid must have xi > 0")
     X = 1.25 * hi
-    max_j = max((m[0][1] for t in o.expr.terms for m, _ in t.factors if m),
-                default=0)
-    nodes, levels = _fractional_levels(s, max_j, X)
     vals = {k: float(v) for k, v in param_values.items()}
-    pts = _grid_points(grid)
+    # per term in print order: coefficient times parameters, then the
+    # (derivative level, power) of each factor
+    terms = []
+    for m in sorted(o.expr.terms, key=term_key):
+        _, factors, params = term_key(m)
+        c = float(o.expr.terms[m])
+        for sym, e in params:
+            c *= vals[sym] ** e
+        terms.append((c, [(sum(n for _, n in multi), e) for multi, e in factors]))
+    nodes, levels = _fractional_levels(
+        s, max([0] + [j for _, fs in terms for j, _ in fs]), X)
     res = []
-    for xi in pts:
+    for xi in _grid_points(grid):
+        at = [float(np.interp(xi, nodes, level)) for level in levels]
         total = 0.0
-        for t in o.expr.terms:
-            c = float(t.coeff)
-            for sym, e in t.params:
-                c *= vals[sym] ** e
-            for multi, power in t.factors:
-                j = multi[0][1] if multi else 0
-                c *= float(np.interp(xi, nodes, levels[j])) ** power
+        for c, factors in terms:
+            for j, e in factors:
+                c *= at[j] ** e
             total += c
         res.append(abs(total))
     return ResidualReport(max(res), sum(res) / len(res),

@@ -11,8 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .pde_ast import Expr, PdeDefinition, Term, _merge_powers, differentiate
-from .rational_poly import monomial_content, mono_str, rational_content
+from .pde_ast import (
+    PdeDefinition, differentiate, jet, jet_multi, jet_order, jet_variables,
+    split_mono, term_key,
+)
+from .rational_poly import Poly, factor_str, mono_mul, mono_str
 
 XI = "xi"
 
@@ -49,76 +52,47 @@ class WaveFrame:
 
 @dataclass(frozen=True)
 class ReducedOde:
-    expr: Expr                    # derivatives in xi only
+    expr: Poly                    # over xi-jets and parameters
     frame: WaveFrame
     integration_count: int = 0
     cleared_factor: str = "1"     # overall monomial factor divided out
 
 
-def _normalize_common(e: Expr):
+def _normalize_common(e: Poly):
     """Divide out the common rational and parameter-monomial factor and make
-    the canonically-leading term positive. Returns (expr, factor string)."""
-    if e.is_zero:
-        return e, "1"
-    content = rational_content(t.coeff for t in e.terms)
-    common = monomial_content(t.params for t in e.terms)
-    # the sign rule follows the Expr term order, not the Poly one
-    if e.terms[0].coeff < 0:
-        content = -content
-    neg = dict(common)
-    terms = []
-    for t in e.terms:
-        params = tuple(sorted((s, e_ - neg.get(s, 0)) for s, e_ in t.params if e_ - neg.get(s, 0)))
-        terms.append(Term(t.coeff / content, params, t.factors))
-    factor = str(content) if content != 1 else ""
-    if common:
-        factor = (factor + "*" if factor else "") + mono_str(common)
-    return Expr.from_terms(terms), factor or "1"
+    the first term in print order positive.  Returns (poly, factor string)."""
+    params = {s for s in e.symbols() if jet_multi(s) is None}
+    e, (c, mono) = e.primitive(params, key=term_key)
+    return e, factor_str(c, mono)
 
 
 def reduce(p: PdeDefinition, f: WaveFrame) -> ReducedOde:
     """Reduce `p` to an ODE in xi under the frame `f`; the common monomial
     factor of the result is cleared and logged."""
-    for v in p.lhs_minus_rhs.variables():
+    for v in jet_variables(p.lhs_minus_rhs):
         if v not in f.variables:
             raise FrameError(f"frame missing variable {v!r}")
     if f.fractional != p.fractional:
         raise FrameError("frame/PDE fractional mode mismatch")
-    terms = []
-    for t in p.lhs_minus_rhs.terms:
-        params = list(t.params)
-        factors = []
-        for multi, power in t.factors:
-            total = 0
-            for var, order in multi:
-                params.append((f.symbol(var), order * power))
-                total += order
-            factors.append((((XI, total),) if total else (), power))
-        terms.append(Term(t.coeff, _merge_powers(params), _merge_powers(factors)))
-    expr, factor = _normalize_common(Expr.from_terms(terms))
+    # u_{x:i,t:j} -> k^i c^j u_{xi:i+j}
+    vals = {}
+    for sym in p.lhs_minus_rhs.symbols():
+        if jet_multi(sym):
+            frame = [(f.symbol(v), o) for v, o in jet_multi(sym)]
+            vals[sym] = Poly({tuple(sorted(frame + [(jet({XI: jet_order(sym)}), 1)])): 1})
+    expr, factor = _normalize_common(p.lhs_minus_rhs.substitute(vals))
     return ReducedOde(expr, f, 0, factor)
 
 
-def _xi_derivative_of_monomial(factors: tuple) -> Expr:
-    return differentiate(Expr((Term(Fraction(1), (), factors),)), XI)
+def _antiderivative_candidates(jets) -> set:
+    """Candidate jet monomials g with g' possibly proportional to a
+    combination containing `jets`: one derivative unit lowered off one
+    factor."""
+    return {mono_mul(jets, ((s, -1), (jet({XI: jet_order(s) - 1}), 1)))
+            for s, _ in jets if jet_order(s)}
 
 
-def _antiderivative_candidates(factors: tuple):
-    """Candidate monomials g (factor tuples) with g' possibly proportional to
-    a combination containing this term: lower one derivative unit off one
-    factor, either keeping or merging the result."""
-    cands = set()
-    for i, (multi, power) in enumerate(factors):
-        order = multi[0][1] if multi else 0
-        if order == 0:
-            continue
-        lowered = ((XI, order - 1),) if order > 1 else ()
-        rest = factors[:i] + ((multi, power - 1),) + factors[i + 1:]
-        cands.add(_merge_powers(rest + ((lowered, 1),)))
-    return cands
-
-
-def _integrate_once(e: Expr) -> Expr:
+def _integrate_once(e: Poly) -> Poly:
     """Antiderivative of `e` w.r.t. xi with zero integration constant.
 
     Writes e as a rational-linear combination of exact derivatives of
@@ -127,21 +101,15 @@ def _integrate_once(e: Expr) -> Expr:
     """
     # group terms by parameter monomial; each group must be matched separately
     groups = {}
-    for t in e.terms:
-        groups.setdefault(t.params, []).append(t)
-    out = []
-    for params, terms in groups.items():
-        target = {t.factors: t.coeff for t in terms}
-        cands = set()
-        for t in terms:
-            cands |= _antiderivative_candidates(t.factors)
-        cands = sorted(cands)
-        # derivative of each candidate, as a dict factors -> coeff
-        derivs = []
-        for g in cands:
-            d = _xi_derivative_of_monomial(g)
-            derivs.append({t.factors: t.coeff for t in d.terms})
-        rows = sorted({f for d in derivs for f in d} | set(target))
+    for m in sorted(e.terms, key=term_key):
+        params, jets = split_mono(m)
+        groups.setdefault(params, {})[jets] = e.terms[m]
+    out = {}
+    for params, target in groups.items():
+        cands = sorted({g for jets in target for g in _antiderivative_candidates(jets)})
+        # derivative of each candidate, as a dict monomial -> coeff
+        derivs = [differentiate(Poly({g: 1}), XI).terms for g in cands]
+        rows = sorted({r for d in derivs for r in d} | set(target))
         # exact Gaussian elimination on the (rows x candidates) system
         matrix = [[d.get(r, Fraction(0)) for d in derivs] + [target.get(r, Fraction(0))]
                   for r in rows]
@@ -171,8 +139,8 @@ def _integrate_once(e: Expr) -> Expr:
             coeffs[col] = matrix[i][ncols]
         for g, c in zip(cands, coeffs):
             if c != 0:
-                out.append(Term(c, params, g))
-    return Expr.from_terms(out)
+                out[mono_mul(params, g)] = c
+    return Poly(out)
 
 
 def integrate_decay(o: ReducedOde, times: int) -> ReducedOde:
@@ -184,7 +152,6 @@ def integrate_decay(o: ReducedOde, times: int) -> ReducedOde:
     if times == 0:
         return o
     e = o.expr
-    factor = o.cleared_factor
     for _ in range(times):
-        e, f = _normalize_common(_integrate_once(e))
-    return ReducedOde(e, o.frame, o.integration_count + times, factor)
+        e = _normalize_common(_integrate_once(e))[0]
+    return ReducedOde(e, o.frame, o.integration_count + times, o.cleared_factor)

@@ -9,8 +9,14 @@ from twsolve import (
     CoefficientSystem, NoRootFound, extract_system, solve_numeric,
     solve_triangular,
 )
+from twsolve.algebra_system import _subs_assignment
 from twsolve.phi_calculus import PhiPolynomial
 from twsolve.rational_poly import Poly
+
+from conftest import (
+    BSQ_DSL, BSQ_FRAC_DSL, KP_DSL, KP_FRAC_DSL, SWW_DSL, SWW_FRAC_DSL, TOY_DSL,
+    run_pipeline,
+)
 
 
 
@@ -218,3 +224,47 @@ def test_numeric_no_root():
     s = CoefficientSystem(eqs, ("a0", "a1"), ())
     with pytest.raises(NoRootFound):
         solve_numeric(s, {})
+
+
+# --- exact back-substitution oracle ----------------------------------------
+
+CORPUS = {
+    "kdv": "pde kdv vars(x,t) params() : u_t + u*u_x + u_xxx = 0",
+    "burgers": "pde burgers vars(x,t) params() : u_t + u*u_x = u_xx",
+    "bbm": "pde bbm vars(x,t) params() : u_t + u_x + u*u_x - u_xxt = 0",
+    "zk": "pde zk vars(x,y,t) params() : u_t + u*u_x + u_xxx + u_xyy = 0",
+    "kawahara": "pde kawahara vars(x,t) params() : "
+                "u_t + u*u_x + u_xxx - u_xxxxx = 0",
+    "kdv5": "pde kdv5 vars(x,t) params() : u_t + u*u_x + u_xxxxx = 0",
+}
+
+
+def _oracle_cases():
+    yield "toy", TOY_DSL, 0
+    for name, dsl, frac in (("sww", SWW_DSL, SWW_FRAC_DSL),
+                            ("kp", KP_DSL, KP_FRAC_DSL),
+                            ("boussinesq4", BSQ_DSL, BSQ_FRAC_DSL)):
+        times = 1 if name == "sww" else 2
+        yield name, dsl, times
+        yield name + "_frac", frac, times
+    for name, dsl in CORPUS.items():
+        yield name, dsl, 0
+
+
+def test_every_branch_back_substitutes_to_zero_modulo_its_constraints():
+    """Each system row with a branch's assignments substituted (denominators
+    cleared) is zero or an exact multiple of one of the branch's
+    constraints."""
+    checked = 0
+    for name, dsl, times in _oracle_cases():
+        r = run_pipeline(dsl, integrate=times)
+        for b in r.branches:
+            for power, row in r.system.equations:
+                for u, value in sorted(b.assignments.items()):
+                    if not row.is_zero:
+                        row = _subs_assignment(row, u, value)
+                assert row.is_zero or any(row.try_divide(c) is not None
+                                          for c in b.constraints), \
+                    (name, power, str(row), [str(c) for c in b.constraints])
+            checked += 1
+    assert checked == 12

@@ -112,8 +112,11 @@ def test_verify_fractional_fails_on_violated_constraint(capsys):
     ("figure", "1", "--sigma", "0"),
     ("figure", "2", "--alphas", "1.5"),
     ("figure", "4", "--alphas", "0.8,0"),
+    ("figure", "1", "--xgrid", "0:inf:2"),
     ("verify", TOY_FRAC, "--params", "k=1,c=2"),
     ("verify", TOY, "--method", "subeq", "--params", "k=1,c=2"),
+    ("verify", TOY, "--params", "k=1"),
+    ("solve", TOY, "--params", "k=1,c=2,kk=5"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     def no_stage(*args, **kwargs):

@@ -83,6 +83,8 @@ CASES = {
                      "--alphas", "0.8,1.0", "--out", "fig6.csv"],
     "figure_1_out": ["figure", "1", "--xgrid=0:1:3", "--tgrid=0:0:1",
                      "--out", "fig1.csv"],
+    "figure_2_exact_zero": ["figure", "2", "--xgrid=-8.1:-8.1:1",
+                            "--tgrid=2.7:2.7:1", "--alphas", "0.7"],
     "tabulate_ml": ["tabulate", "ml", "--alpha", "0.5", "--grid=-3:3:7"],
     "tabulate_tanh": ["tabulate", "tanh", "--alpha", "0.8", "--grid", "0:2:5"],
     "tabulate_cot": ["tabulate", "cot", "--alpha", "0.9", "--grid", "0:1:3"],
@@ -103,6 +105,9 @@ CASES = {
     "error_alpha_zero": ["solve", "sww", "--method", "subeq", "--alpha", "0"],
     "error_figure_sigma": ["figure", "2", "--sigma=1", *SMALL, "--alphas", "0.8"],
     "error_figure_alphas": ["figure", "4", *SMALL, "--alphas", "0.8,0"],
+    "error_zero_power": ["solve", "pde toy vars(x,t) params() : u_xx = u^0*u_t"],
+    "error_params_unbound": ["verify", TOY, "--params", "k=1"],
+    "error_params_unknown": ["verify", TOY, "--params", "k=1,c=2,kk=5"],
 }
 
 

@@ -1,4 +1,4 @@
-"""DSL parser, expression normalization, and symbolic differentiation."""
+"""DSL parser, jet-symbol polynomials, and symbolic differentiation."""
 import pytest
 from fractions import Fraction
 
@@ -8,7 +8,10 @@ from twsolve import (
     MixedOrderError, PdeSyntaxError, UndeclaredSymbolError, parse_pde,
     print_pde,
 )
-from twsolve.pde_ast import Expr, Term, differentiate, expand_derivatives
+from twsolve.pde_ast import (
+    differentiate, expand_derivatives, expr_to_str, jet, jet_multi, split_mono,
+)
+from twsolve.rational_poly import Poly
 
 
 def test_parse_basic():
@@ -30,18 +33,20 @@ def test_parse_braced_and_suffix_equivalent():
 def test_parse_parenthesized_derivative():
     p = parse_pde("pde b vars(x,t) params() : u_tt = 3*(u^2)_xx")
     # (u^2)_xx expands to 6*u_x^2 + 6*u*u_xx
-    sigs = {tuple(t.factors): t.coeff for t in p.lhs_minus_rhs.terms}
+    sigs = {split_mono(m)[1]: c for m, c in p.lhs_minus_rhs.terms.items()}
     assert any(c == -6 for c in sigs.values())
 
 
 def test_parse_rational_coefficient():
     p = parse_pde("pde r vars(x) params() : 3/2*u_x = 0")
-    assert p.lhs_minus_rhs.terms[0].coeff == Fraction(3, 2)
+    ((m, c),) = p.lhs_minus_rhs.terms.items()
+    assert m == ((jet({"x": 1}), 1),)
+    assert c == Fraction(3, 2)
 
 
 def test_parse_params_attached():
     p = parse_pde("pde s vars(x,t) params(p,q) : p*u_x + q*u_t = 0")
-    syms = {s for t in p.lhs_minus_rhs.terms for s, _ in t.params}
+    syms = {s for m in p.lhs_minus_rhs.terms for s, _ in split_mono(m)[0]}
     assert syms == {"p", "q"}
 
 
@@ -76,7 +81,7 @@ def test_error_mixed_orders():
 
 def test_normalization_merges_and_drops():
     p = parse_pde("pde n vars(x) params() : u_x + u_x = 2*u_x")
-    assert p.lhs_minus_rhs.terms == ()
+    assert p.lhs_minus_rhs.is_zero
 
 
 def test_normalization_deterministic_order():
@@ -90,17 +95,17 @@ def test_differentiate_product_rule():
     d = differentiate(p.lhs_minus_rhs, "x")
     # d/dx (u u_x) = u_x^2 + u u_xx
     assert len(d.terms) == 2
-    orders = sorted(sum(o for _, o in m) * pw
-                    for t in d.terms for m, pw in t.factors)
+    orders = sorted(sum(o for _, o in jet_multi(sym)) * pw
+                    for m in d.terms for sym, pw in split_mono(m)[1])
     assert orders == [1, 1] or len(d.terms) == 2
 
 
 def test_differentiate_power_rule():
     e = parse_pde("pde d vars(x) params() : u^3 = 0").lhs_minus_rhs
     d = differentiate(e, "x")
-    (t,) = d.terms
-    assert t.coeff == 3           # d/dx u^3 = 3 u^2 u_x
-    powers = sorted(pw for _, pw in t.factors)
+    ((m, c),) = d.terms.items()
+    assert c == 3                 # d/dx u^3 = 3 u^2 u_x
+    powers = sorted(pw for _, pw in split_mono(m)[1])
     assert powers == [1, 2]
 
 
@@ -129,7 +134,39 @@ def test_print_round_trip():
 def test_expr_arithmetic_normal_form(terms):
     """Sum of randomly built terms re-normalizes identically regardless of
     construction order."""
-    built = [Term(Fraction(c), (), (((("x", o),), pw),)) for c, o, pw in terms]
-    a = Expr.from_terms(built)
-    b = Expr.from_terms(list(reversed(built)))
+    built = [Poly({((jet({"x": o}), pw),): c}) for c, o, pw in terms]
+    a = sum(built, Poly())
+    b = sum(reversed(built), Poly())
     assert a == b
+    assert expr_to_str(a, ("x",)) == expr_to_str(b, ("x",))
+
+
+def test_jet_symbols_round_trip():
+    assert jet({}) == "u"
+    assert jet({"x": 2, "t": 1, "y": 0}) == "u_{t:1,x:2}"
+    for multi in ({}, {"x": 1}, {"t": 2, "x": 3, "y": 1}, {"xi": 12}):
+        assert dict(jet_multi(jet(multi))) == multi
+    # parameters and frame atoms are not jets
+    for sym in ("p", "k", "k_a", "sigma", "a0", "phi"):
+        assert jet_multi(sym) is None
+
+
+def test_parse_builds_jet_polynomial():
+    p = parse_pde("pde s vars(x,t) params(p) : u_xt = p*u*u_{x:2}")
+    assert p.lhs_minus_rhs == (Poly.var(jet({"x": 1, "t": 1}))
+                               - Poly.var("p") * Poly.var("u")
+                               * Poly.var(jet({"x": 2})))
+
+
+def test_print_order_highest_derivative_first():
+    p = parse_pde("pde o vars(x,t) params(p) : u + p*u_t = u*u_x + u_xx")
+    assert print_pde(p) == ("pde o vars(x,t) params(p) : -u_xx - u*u_x "
+                            "+ p*u_t + u = 0")
+
+
+def test_error_zero_power_reports_position():
+    with pytest.raises(PdeSyntaxError) as ei:
+        parse_pde("pde toy vars(x,t) params() : u_xx = u^0*u_t")
+    assert "at least 1" in str(ei.value)
+    assert ei.value.pos == 38
+    assert "column 39" in str(ei.value)

@@ -8,7 +8,7 @@ from twsolve import (
     FrameError, NotExactDerivative, WaveFrame, integrate_decay, parse_pde,
     reduce,
 )
-from twsolve.pde_ast import expr_to_str
+from twsolve.pde_ast import expr_to_str, jet_order, split_mono
 from twsolve.rational_poly import Poly
 
 from conftest import run_pipeline, TOY_DSL, SWW_DSL, KP_DSL, BSQ_DSL
@@ -19,8 +19,9 @@ def ode_str(o):
 
 
 def expr_as_xi_poly(e, u_coeffs, nsyms=6):
-    """Oracle: substitute u(xi) = sum c_i xi^i (exact) into an Expr over xi
-    and return the resulting exact polynomial in xi and the parameters."""
+    """Oracle: substitute u(xi) = sum c_i xi^i (exact) into a polynomial over
+    xi-jets and return the resulting exact polynomial in xi and the
+    parameters."""
     base = Poly()
     for i, c in enumerate(u_coeffs):
         base = base + Poly.const(Fraction(c)) * Poly.var("xi", i) if i \
@@ -29,13 +30,11 @@ def expr_as_xi_poly(e, u_coeffs, nsyms=6):
     for _ in range(nsyms):
         derivs.append(derivs[-1].derivative("xi"))
     total = Poly()
-    for t in e.terms:
-        term = Poly.const(t.coeff)
-        for sym, ex in t.params:
-            term = term * Poly.var(sym, ex)
-        for multi, power in t.factors:
-            j = multi[0][1] if multi else 0
-            term = term * derivs[j] ** power
+    for m, c in e.terms.items():
+        term = Poly.const(c)
+        for sym, ex in m:
+            order = jet_order(sym)
+            term = term * (Poly.var(sym, ex) if order is None else derivs[order] ** ex)
         total = total + term
     return total
 
@@ -69,7 +68,7 @@ def test_reduce_boussinesq():
 def test_reduce_fractional_uses_alpha_atoms():
     p = parse_pde("pde f vars(x,t) params() frac(alpha) : u_{t:2} = u_{x:4}")
     o = reduce(p, WaveFrame(p.variables, True, {}))
-    syms = {s for t in o.expr.terms for s, _ in t.params}
+    syms = {s for m in o.expr.terms for s, _ in split_mono(m)[0]}
     assert syms == {"k_a", "c_a"}
 
 
