@@ -8,7 +8,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .pde_ast import expr_to_str, jet_multi, jet_variables, parse_pde, print_pde
@@ -25,8 +25,7 @@ FMT = "%.12e"
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    integer_dsl: str
-    fractional_dsl: str
+    dsl: str                        # read in alpha-units under --method subeq
     integrate_times: int            # decay integrations before balancing
     figure_defaults: dict           # named parameter set from the figure caption
     caption: str
@@ -47,19 +46,14 @@ BOUSSINESQ_WARNINGS = (
 
 REGISTRY = {
     "sww": RegistryEntry(
-        integer_dsl=("pde sww vars(x,y,t) params(p,q) : "
-                     "u_xt + u_xx = u_xxxy + p*u_x*u_xt + q*u_t*u_xx"),
-        fractional_dsl=("pde sww vars(x,y,t) params(p,q) frac(alpha) : "
-                        "u_{x:1,t:1} + u_{x:2} = u_{x:3,y:1} "
-                        "+ p*u_{x:1}*u_{x:1,t:1} + q*u_{t:1}*u_{x:2}"),
+        dsl=("pde sww vars(x,y,t) params(p,q) : "
+             "u_xt + u_xx = u_xxxy + p*u_x*u_xt + q*u_t*u_xx"),
         integrate_times=1,
         figure_defaults={"k": 1, "m": 1, "c": 3, "p": 1, "q": 1},
         caption="p = q = m = k = 1, c = 3",
     ),
     "kp": RegistryEntry(
-        integer_dsl="pde kp vars(x,y,t) params() : (u_t + 6*u*u_x + u_xxx)_x = u_yy",
-        fractional_dsl=("pde kp vars(x,y,t) params() frac(alpha) : "
-                        "(u_{t:1} + 6*u*u_{x:1} + u_{x:3})_{x:1} = u_{y:2}"),
+        dsl="pde kp vars(x,y,t) params() : (u_t + 6*u*u_x + u_xxx)_x = u_yy",
         integrate_times=2,
         figure_defaults={"k": 1, "m": 1, "c": 3.68},
         caption="m = k = 1, c = 3.68",
@@ -76,9 +70,7 @@ REGISTRY = {
         ),
     ),
     "boussinesq4": RegistryEntry(
-        integer_dsl="pde boussinesq4 vars(x,t) params() : u_tt = u_xx + 3*(u^2)_xx + u_xxxx",
-        fractional_dsl=("pde boussinesq4 vars(x,t) params() frac(alpha) : "
-                        "u_{t:2} = u_{x:2} + 3*(u^2)_{x:2} + u_{x:4}"),
+        dsl="pde boussinesq4 vars(x,t) params() : u_tt = u_xx + 3*(u^2)_xx + u_xxxx",
         integrate_times=2,
         figure_defaults={"k": 1, "c": 1},
         caption="c = k = 1",
@@ -134,10 +126,20 @@ def _parse_grid(text, default):
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError("--grid expects lo:hi:n")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as e:
+        raise CliError(f"--grid expects numbers lo:hi:n, got {text!r}") from e
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise CliError(f"grid bounds must be finite, got {text!r}")
-    return (lo, hi, int(parts[2]))
+    if n < 1:
+        raise CliError(f"grid needs at least one point, got {text!r}")
+    return (lo, hi, n)
+
+
+def _axis(grid):
+    lo, hi, n = grid
+    return [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
 
 
 def _exact_axis(text, grid):
@@ -150,15 +152,18 @@ def _check_flags(args):
     """Reject solve/verify flag values that no stage can use."""
     if not 0 < args.alpha <= 1:
         raise CliError(f"--alpha must lie in (0, 1], got {args.alpha:g}")
+    if args.method == "tanh" and (args.alpha != 1 or args.sigma is not None):
+        raise CliError("--alpha and --sigma apply to --method subeq")
     if args.degree is not None and args.degree < 1:
         raise CliError(f"--degree must be at least 1, got {args.degree}")
+    _parse_grid(args.grid, None)        # its default depends on the definition
 
 
-def _check_method(args, definition):
+def _check_method(method, sigma, definition):
     """Reject a method that the definition's order cannot use."""
-    if args.method == "subeq" and not definition.fractional and args.sigma is None:
+    if method == "subeq" and not definition.fractional and sigma is None:
         raise CliError("method subeq requires a fractional definition or --sigma")
-    if args.method == "tanh" and definition.fractional:
+    if method == "tanh" and definition.fractional:
         raise CliError("method tanh applies to integer-order definitions")
 
 
@@ -180,10 +185,9 @@ def _check_params(params, definition, method):
 
 
 def _load_definition(target: str, method: str):
-    if target in REGISTRY:
+    if target in REGISTRY:     # one DSL, read in alpha-units under subeq
         entry = REGISTRY[target]
-        dsl = entry.fractional_dsl if method == "subeq" else entry.integer_dsl
-        return entry, parse_pde(dsl)
+        return entry, replace(parse_pde(entry.dsl), fractional=method == "subeq")
     try:
         with open(target) as fh:
             text = fh.read()
@@ -195,10 +199,32 @@ def _load_definition(target: str, method: str):
     return None, parse_pde(text)
 
 
-def _run(definition, method, alpha, integrate, degree=None):
-    profile = (SubEquationProfile.riccati(alpha=alpha) if method == "subeq"
+def _solve(args, target, method, *, degree=None, need_params=False):
+    """Load `target`, check `args` against it, then run every stage once.
+    Returns (registry entry or None, bound params, pipeline result)."""
+    entry, definition = _load_definition(target, method)
+    _check_method(method, args.sigma, definition)
+    params = _parse_params(args.params, entry and entry.figure_defaults)
+    if need_params and not params:
+        raise CliError("--params required for verification")
+    if params:
+        _check_params(params, definition, method)
+    profile = (SubEquationProfile.riccati() if method == "subeq"
                else SubEquationProfile.classical_tanh())
-    return run(definition, profile, integrate, degree)
+    integrate = entry.integrate_times if entry else args.integrate
+    return entry, params, run(definition, profile, integrate, degree)
+
+
+def _residual(r, s, grid_text, form="originalPde"):
+    """Residual of solution `s`: a measurement on the reduced ODE for a
+    fractional definition, exact on the original PDE or `form` otherwise."""
+    if r.definition.fractional:
+        return residual_fractional(s, r.ode, dict(s.params),
+                                   _parse_grid(grid_text, FRACTIONAL_GRID))
+    grid = _parse_grid(grid_text, DEFAULT_GRID)
+    if form == "reducedOde":
+        return residual_ode(s, r.ode, dict(s.params), grid)
+    return residual_pde(s, r.definition, grid)
 
 
 def _ode_str(o):
@@ -207,13 +233,7 @@ def _ode_str(o):
 
 def cmd_solve(args) -> int:
     _check_flags(args)
-    entry, definition = _load_definition(args.pde, args.method)
-    _check_method(args, definition)
-    params = _parse_params(args.params, entry and entry.figure_defaults)
-    if params:
-        _check_params(params, definition, args.method)
-    r = _run(definition, args.method, args.alpha,
-             entry.integrate_times if entry else args.integrate, args.degree)
+    entry, params, r = _solve(args, args.pde, args.method, degree=args.degree)
 
     warnings = []
     if entry:
@@ -222,28 +242,20 @@ def cmd_solve(args) -> int:
     if args.method == "subeq":
         warnings.append(FRACTIONAL_WARNING)
 
-    solutions = []
-    reports = []
+    solutions, reports = [], []
     if params:
-        grid = _parse_grid(args.grid, FRACTIONAL_GRID if definition.fractional
-                           else DEFAULT_GRID)
         for b in r.branches:
             for s in r.solutions(b, params, alpha=args.alpha, sigma=args.sigma,
                                  omega=args.omega, a0=args.a0):
                 solutions.append(s.to_json())
-                if s.family != "Tanh":
-                    continue
-                if definition.fractional:
-                    reports.append(residual_fractional(s, r.ode, dict(s.params),
-                                                       grid).to_json())
-                else:
-                    reports.append(residual_pde(s, definition, grid).to_json())
+                if s.family == "Tanh":
+                    reports.append(_residual(r, s, args.grid).to_json())
         if any(s["constraint_violated"] for s in solutions):
             warnings.append("constraint violated at the given parameters; "
                             "residuals will not vanish")
 
     log = {
-        "pde": print_pde(definition),
+        "pde": print_pde(r.definition),
         "method": args.method,
         "alpha": FMT % args.alpha,
         "sigma": FMT % args.sigma if args.sigma is not None else None,
@@ -271,32 +283,18 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_flags(args)
-    entry, definition = _load_definition(args.pde, args.method)
-    _check_method(args, definition)
-    params = _parse_params(args.params, entry and entry.figure_defaults)
-    if not params:
-        raise CliError("--params required for verification")
-    _check_params(params, definition, args.method)
-    r = _run(definition, args.method, args.alpha,
-             entry.integrate_times if entry else args.integrate, args.degree)
+    _, params, r = _solve(args, args.pde, args.method, degree=args.degree,
+                          need_params=True)
     if not 0 <= args.branch < len(r.branches):
         raise CliError(f"branch {args.branch} not found "
                        f"({len(r.branches)} available)")
     # the first family is Tanh for sigma < 0, Tan for sigma > 0
     s = r.solutions(r.branches[args.branch], params, alpha=args.alpha,
                     sigma=args.sigma, omega=args.omega, a0=args.a0)[0]
-    if definition.fractional:
-        # the fractional residual is a measurement, never part of the verdict
-        report = residual_fractional(s, r.ode, dict(s.params),
-                                     _parse_grid(args.grid, FRACTIONAL_GRID))
-        passed = not s.constraint_violated
-    else:
-        grid = _parse_grid(args.grid, DEFAULT_GRID)
-        if args.form == "reducedOde":
-            report = residual_ode(s, r.ode, dict(s.params), grid)
-        else:
-            report = residual_pde(s, definition, grid)
-        passed = (not s.constraint_violated) and report.max_abs < 1e-8
+    report = _residual(r, s, args.grid, args.form)
+    # the fractional residual is a measurement, never part of the verdict
+    passed = not s.constraint_violated and (r.definition.fractional
+                                            or report.max_abs < 1e-8)
     payload = report.to_json()
     payload["constraintViolated"] = s.constraint_violated
     payload["pass"] = passed
@@ -304,27 +302,21 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-def _figure_solution(n: int, params: dict, alpha: float, sigma, omega, a0):
-    key, method = FIGURES[n]
-    entry, definition = _load_definition(key, method)
-    r = _run(definition, method, alpha, entry.integrate_times)
-    # sigma < 0, so the first family is Tanh
-    return r.solutions(r.branches[0], params, alpha=alpha, sigma=sigma,
-                       omega=omega, a0=a0)[0]
-
-
 def cmd_figure(args) -> int:
-    n = args.n
-    if n not in FIGURES:
+    if args.n not in FIGURES:
         raise CliError("figure number must be 1..6")
     if not args.sigma < 0:
         raise CliError("--sigma must be negative: the figures plot the Tanh "
                        "family")
-    key, method = FIGURES[n]
-    entry = REGISTRY[key]
-    params = _parse_params(args.params, entry.figure_defaults)
+    key, method = FIGURES[args.n]
     xg = _parse_grid(args.xgrid, (-10.0, 10.0, 201))
     tg = _parse_grid(args.tgrid, (0.0, 5.0, 51))
+    if method == "subeq":
+        alphas = [float(a) for a in (args.alphas.split(",") if args.alphas
+                                     else FIGURE_ALPHAS)]
+        if not all(0 < a <= 1 for a in alphas):
+            raise CliError("--alphas must lie in (0, 1]")
+    _, params, r = _solve(args, key, method)
     # xi = k*x + c*t (fixed y = 0) exactly, from the grid text: the row
     # (i, j) has xi = (a + j*b + i*d) / den with integer numerators
     (x0, dx), (t0, dt) = _exact_axis(args.xgrid, xg), _exact_axis(args.tgrid, tg)
@@ -334,13 +326,14 @@ def cmd_figure(args) -> int:
     a, b, d = (q.numerator * (den // q.denominator) for q in steps)
 
     def rows_for(alpha):
-        s = _figure_solution(n, params, alpha, args.sigma, args.omega, args.a0)
+        # sigma < 0, so the first family is Tanh
+        s = r.solutions(r.branches[0], params, alpha=alpha, sigma=args.sigma,
+                        a0=args.a0)[0]
         u_at = {}       # xi repeats across (x, t); one sheet, one solution
         lines = []
-        for i in range(int(tg[2])):
-            t = tg[0] + (tg[1] - tg[0]) * i / max(int(tg[2]) - 1, 1)
-            for j in range(int(xg[2])):
-                x = xg[0] + (xg[1] - xg[0]) * j / max(int(xg[2]) - 1, 1)
+        xs = _axis(xg)
+        for i, t in enumerate(_axis(tg)):
+            for j, x in enumerate(xs):
                 xi = (a + j * b + i * d) / den
                 u = u_at.get(xi)
                 if u is None:
@@ -350,10 +343,6 @@ def cmd_figure(args) -> int:
         return lines
 
     if method == "subeq":
-        alphas = [float(a) for a in (args.alphas.split(",") if args.alphas
-                                     else FIGURE_ALPHAS)]
-        if not all(0 < a <= 1 for a in alphas):
-            raise CliError("--alphas must lie in (0, 1]")
         sheets = [(alpha, "x,t,alpha,u\n" + "\n".join(rows_for(alpha)) + "\n")
                   for alpha in alphas]
         if args.out:
@@ -372,11 +361,9 @@ def cmd_figure(args) -> int:
 
 
 def cmd_tabulate(args) -> int:
-    grid = _parse_grid(args.grid, (0.0, 5.0, 51))
     spec = MLSeriesSpec(args.alpha)
     lines = ["x,value"]
-    for i in range(int(grid[2])):
-        x = grid[0] + (grid[1] - grid[0]) * i / max(int(grid[2]) - 1, 1)
+    for x in _axis(_parse_grid(args.grid, (0.0, 5.0, 51))):
         if args.fn == "ml":
             v = mittag_leffler(spec, x)
         else:
@@ -441,7 +428,6 @@ def build_parser():
     sp.add_argument("n", type=int)
     sp.add_argument("--params", default="")
     sp.add_argument("--sigma", type=float, default=-1.0)
-    sp.add_argument("--omega", type=float, default=0.0)
     sp.add_argument("--a0", type=float, default=0.0)
     sp.add_argument("--alphas", default="",
                     help="comma-separated alpha list for fractional figures")

@@ -126,6 +126,10 @@ class PdeDefinition:
 # ---------------------------------------------------------------------------
 # parser
 
+# names the pipeline gives its own symbols: u, the frame coefficients, the
+# sub-equation and ansatz symbols, and the fractional order
+RESERVED_PARAM = re.compile(r"u|k|m|c|sigma|phi|xi|alpha|a\d+")
+
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<int>\d+)
@@ -187,7 +191,7 @@ class _Parser:
             if v not in ("x", "y", "t"):
                 self.error(f"variables must be among x, y, t; got {v!r}")
         self.expect("params")
-        self.parameters = tuple(self._name_list())
+        self.parameters = tuple(self._name_list(RESERVED_PARAM))
         if self.peek()[1] == "frac":
             self.next()
             self.expect("(")
@@ -203,7 +207,7 @@ class _Parser:
         return PdeDefinition(name, self.variables, self.parameters,
                              lhs - rhs, self.fractional)
 
-    def _name_list(self):
+    def _name_list(self, reserved=None):
         self.expect("(")
         names = []
         if self.peek()[1] != ")":
@@ -211,6 +215,9 @@ class _Parser:
                 kind, val, pos = self.next()
                 if kind != "name":
                     raise PdeSyntaxError("expected a symbol name", pos, self.text)
+                if reserved and reserved.fullmatch(val):
+                    raise PdeSyntaxError(f"parameter name {val!r} is reserved "
+                                         f"for a pipeline symbol", pos, self.text)
                 names.append(val)
                 if self.peek()[1] == ",":
                     self.next()

@@ -31,17 +31,15 @@ class SubEquationProfile:
     r0: object
     r2: object
     mode: str            # "classicalTanh" | "riccati"
-    alpha: object = 1
 
     @classmethod
     def classical_tanh(cls) -> "SubEquationProfile":
-        return cls(Fraction(1), Fraction(-1), "classicalTanh", 1)
+        return cls(Fraction(1), Fraction(-1), "classicalTanh")
 
     @classmethod
-    def riccati(cls, sigma=SIGMA, alpha=1) -> "SubEquationProfile":
-        if isinstance(sigma, str):
-            return cls(sigma, Fraction(1), "riccati", alpha)
-        return cls(Fraction(sigma), Fraction(1), "riccati", alpha)
+    def riccati(cls, sigma=SIGMA) -> "SubEquationProfile":
+        return cls(sigma if isinstance(sigma, str) else Fraction(sigma),
+                   Fraction(1), "riccati")
 
     def rhs_poly(self) -> Poly:
         r0 = Poly.var(self.r0) if isinstance(self.r0, str) else Poly.const(self.r0)

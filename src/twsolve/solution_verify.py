@@ -332,12 +332,11 @@ def residual_ode(s: ClosedFormSolution, o: ReducedOde, param_values: dict,
 FRACTIONAL_GRID = (0.5, 4.0, 15)
 
 
-def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float,
-                       dense_n: int = 97, rel_tol: float = 1e-4):
+def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
     """levels[j][i] ~ u^{(j*alpha)} at the dense nodes; each level is one more
     Jumarie quadrature applied to the interpolant of the previous one."""
     delta = X / 100.0
-    nodes = np.linspace(delta, X, dense_n)
+    nodes = np.linspace(delta, X, 97)
     levels = [np.array([s.u_of_xi(x) for x in nodes])]
     margin = 2.0 * (nodes[1] - nodes[0])
     for _ in range(max_j):

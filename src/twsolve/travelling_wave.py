@@ -46,9 +46,6 @@ class WaveFrame:
             raise FrameError(f"no frame coefficient for variable {var!r}")
         return table[var]
 
-    def symbols(self) -> tuple:
-        return tuple(self.symbol(v) for v in self.variables)
-
 
 @dataclass(frozen=True)
 class ReducedOde:

@@ -4,8 +4,11 @@ import math
 
 import pytest
 
-from twsolve import cli
+from twsolve import cli, parse_pde
 from twsolve.cli import main
+from twsolve.pipeline import run
+
+from conftest import BSQ_FRAC_DSL, KP_FRAC_DSL, SWW_FRAC_DSL
 
 TOY = "pde toy vars(x,t) params() : u_xx = u*u_t"
 TOY_FRAC = "pde toy vars(x,t) params() frac(alpha) : u_{x:2} = u*u_{t:1}"
@@ -117,6 +120,14 @@ def test_verify_fractional_fails_on_violated_constraint(capsys):
     ("verify", TOY, "--method", "subeq", "--params", "k=1,c=2"),
     ("verify", TOY, "--params", "k=1"),
     ("solve", TOY, "--params", "k=1,c=2,kk=5"),
+    ("solve", "sww", "--grid", "a:b:3"),
+    ("verify", "sww", "--grid", "0:1:0"),
+    ("verify", "sww", "--grid", "0:1:2.5"),
+    ("figure", "1", "--xgrid", "0:1:0"),
+    ("figure", "1", "--params", "kk=5"),
+    ("solve", "sww", "--sigma", "1"),
+    ("verify", "sww", "--sigma=-1"),
+    ("solve", "sww", "--alpha", "0.5"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     def no_stage(*args, **kwargs):
@@ -125,6 +136,30 @@ def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out)["error"] == "CliError"
+
+
+@pytest.mark.parametrize("key,frac_dsl", [
+    ("sww", SWW_FRAC_DSL), ("kp", KP_FRAC_DSL), ("boussinesq4", BSQ_FRAC_DSL),
+])
+def test_registry_subeq_reads_its_one_dsl_in_alpha_units(key, frac_dsl):
+    # the integer DSL read in alpha-units is the hand-written fractional one
+    _, definition = cli._load_definition(key, "subeq")
+    assert definition == parse_pde(frac_dsl)
+    assert not cli._load_definition(key, "tanh")[1].fractional
+
+
+def test_figure_runs_the_pipeline_once_for_all_alphas(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+    monkeypatch.setattr(cli, "run", counted)
+    code, out = run_cli(capsys, "figure", "2", "--alphas", "0.7,0.8,0.9,1.0",
+                        "--xgrid=0:1:2", "--tgrid=0:0:1")
+    assert code == 0
+    assert len(calls) == 1
+    assert out.count("x,t,alpha,u") == 4
 
 
 def test_figure1_values(capsys):

@@ -108,6 +108,11 @@ CASES = {
     "error_zero_power": ["solve", "pde toy vars(x,t) params() : u_xx = u^0*u_t"],
     "error_params_unbound": ["verify", TOY, "--params", "k=1"],
     "error_params_unknown": ["verify", TOY, "--params", "k=1,c=2,kk=5"],
+    "error_reserved_param": ["solve", "pde s vars(x,t) params(k) : "
+                             "u_t + k*u*u_x + u_xxx = 0", "--integrate", "1"],
+    "error_grid_text": ["solve", "sww", "--grid", "a:b:3"],
+    "error_figure_params_unknown": ["figure", "1", "--params", "kk=5"],
+    "error_tanh_sigma": ["solve", "sww", "--sigma", "1"],
 }
 
 

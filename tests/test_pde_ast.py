@@ -170,3 +170,20 @@ def test_error_zero_power_reports_position():
     assert "at least 1" in str(ei.value)
     assert ei.value.pos == 38
     assert "column 39" in str(ei.value)
+
+
+@pytest.mark.parametrize("name", ["u", "k", "m", "c", "sigma", "phi", "xi",
+                                  "alpha", "a0", "a1", "a12"])
+def test_error_reserved_parameter_name(name):
+    # a parameter named like a pipeline symbol would be conflated with it
+    text = f"pde s vars(x,t) params(p,{name}) : u_t + p*u*u_x + u_xxx = 0"
+    with pytest.raises(PdeSyntaxError) as ei:
+        parse_pde(text)
+    assert "reserved" in str(ei.value)
+    assert ei.value.pos == text.index(f",{name})") + 1
+
+
+@pytest.mark.parametrize("name", ["a", "kk", "cc", "sigma2", "alphab", "p"])
+def test_parameter_names_near_reserved_accepted(name):
+    p = parse_pde(f"pde s vars(x,t) params({name}) : u_t + {name}*u*u_x = 0")
+    assert p.parameters == (name,)
