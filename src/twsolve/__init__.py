@@ -2,7 +2,7 @@
 polynomial nonlinear PDEs.
 
 Pipeline: parse a PDE from the small DSL, reduce it to a travelling-wave ODE,
-substitute the power-of-phi ansatz through the sub-equation derivative table,
+substitute the power-of-phi ansatz through the sub-equation chain rule,
 solve the coefficient-matching system by exact triangular branch enumeration,
 materialize the closed-form solution families, and verify them by residual.
 """
@@ -15,8 +15,8 @@ from .travelling_wave import (
     reduce,
 )
 from .phi_calculus import (
-    Ansatz, NonIntegerBalance, PhiDiffTable, PhiPolynomial,
-    SubEquationProfile, balance_degree, derivative_table, substitute_ansatz,
+    Ansatz, NonIntegerBalance, PhiPolynomial, SubEquationProfile,
+    balance_degree, substitute_ansatz,
 )
 from .algebra_system import (
     Branch, BranchExplosion, CoefficientSystem, NoRootFound, Stalled,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .pde_ast import expr_to_str, jet_multi, jet_variables, parse_pde, print_pde
-from .phi_calculus import SIGMA, SubEquationProfile
+from .phi_calculus import SubEquationProfile
 from .pipeline import run
 from .solution_verify import (
     DEFAULT_GRID, FRACTIONAL_GRID, residual_fractional, residual_ode, residual_pde,
@@ -154,25 +154,36 @@ def _check_flags(args):
         raise CliError(f"--alpha must lie in (0, 1], got {args.alpha:g}")
     if args.method == "tanh" and (args.alpha != 1 or args.sigma is not None):
         raise CliError("--alpha and --sigma apply to --method subeq")
+    if args.omega != 0 and not (args.method == "subeq" and args.sigma == 0):
+        raise CliError("--omega applies to --method subeq --sigma 0, the only "
+                       "family that reads it")
     if args.degree is not None and args.degree < 1:
         raise CliError(f"--degree must be at least 1, got {args.degree}")
     _parse_grid(args.grid, None)        # its default depends on the definition
 
 
-def _check_method(method, sigma, definition):
-    """Reject a method that the definition's order cannot use."""
-    if method == "subeq" and not definition.fractional and sigma is None:
+def _check_method(args, method, definition):
+    """Reject a method, or a residual grid, that the definition's order
+    cannot use."""
+    if method == "subeq" and not definition.fractional and args.sigma is None:
         raise CliError("method subeq requires a fractional definition or --sigma")
     if method == "tanh" and definition.fractional:
         raise CliError("method tanh applies to integer-order definitions")
+    # figure has no residual grid; below alpha = 1 the fractional residual
+    # is measured on xi > 0
+    if "grid" in args and definition.fractional and args.alpha < 1 and \
+            _parse_grid(args.grid, FRACTIONAL_GRID)[0] <= 0:
+        raise CliError(f"the fractional residual grid must have lo > 0, "
+                       f"got {args.grid!r}")
 
 
-def _check_params(params, definition, method):
+def _check_params(params, definition):
     """Reject --params names that no stage reads and symbols that the
-    solutions need but that stay unbound."""
+    solutions need but that stay unbound.  sigma is not a parameter: it
+    comes from --sigma alone."""
     e = definition.lhs_minus_rhs
     frame = {FRAME_SYMBOLS[v] for v in definition.variables}
-    allowed = set(definition.parameters) | frame | ({SIGMA} if method == "subeq" else set())
+    allowed = set(definition.parameters) | frame
     unknown = sorted(set(params) - allowed)
     if unknown:
         raise CliError(f"unknown --params name(s) {', '.join(unknown)}; "
@@ -203,16 +214,21 @@ def _solve(args, target, method, *, degree=None, need_params=False):
     """Load `target`, check `args` against it, then run every stage once.
     Returns (registry entry or None, bound params, pipeline result)."""
     entry, definition = _load_definition(target, method)
-    _check_method(method, args.sigma, definition)
+    _check_method(args, method, definition)
     params = _parse_params(args.params, entry and entry.figure_defaults)
     if need_params and not params:
         raise CliError("--params required for verification")
     if params:
-        _check_params(params, definition, method)
+        _check_params(params, definition)
     profile = (SubEquationProfile.riccati() if method == "subeq"
                else SubEquationProfile.classical_tanh())
     integrate = entry.integrate_times if entry else args.integrate
     return entry, params, run(definition, profile, integrate, degree)
+
+
+def _sigma(args):
+    """The --sigma value, -1 when it is not given."""
+    return -1 if args.sigma is None else args.sigma
 
 
 def _residual(r, s, grid_text, form="originalPde"):
@@ -245,7 +261,7 @@ def cmd_solve(args) -> int:
     solutions, reports = [], []
     if params:
         for b in r.branches:
-            for s in r.solutions(b, params, alpha=args.alpha, sigma=args.sigma,
+            for s in r.solutions(b, params, alpha=args.alpha, sigma=_sigma(args),
                                  omega=args.omega, a0=args.a0):
                 solutions.append(s.to_json())
                 if s.family == "Tanh":
@@ -290,7 +306,7 @@ def cmd_verify(args) -> int:
                        f"({len(r.branches)} available)")
     # the first family is Tanh for sigma < 0, Tan for sigma > 0
     s = r.solutions(r.branches[args.branch], params, alpha=args.alpha,
-                    sigma=args.sigma, omega=args.omega, a0=args.a0)[0]
+                    sigma=_sigma(args), omega=args.omega, a0=args.a0)[0]
     report = _residual(r, s, args.grid, args.form)
     # the fractional residual is a measurement, never part of the verdict
     passed = not s.constraint_violated and (r.definition.fractional
@@ -312,10 +328,15 @@ def cmd_figure(args) -> int:
     xg = _parse_grid(args.xgrid, (-10.0, 10.0, 201))
     tg = _parse_grid(args.tgrid, (0.0, 5.0, 51))
     if method == "subeq":
-        alphas = [float(a) for a in (args.alphas.split(",") if args.alphas
-                                     else FIGURE_ALPHAS)]
+        try:
+            alphas = [float(a) for a in (args.alphas.split(",") if args.alphas
+                                         else FIGURE_ALPHAS)]
+        except ValueError as e:
+            raise CliError(f"--alphas expects numbers, got {args.alphas!r}") from e
         if not all(0 < a <= 1 for a in alphas):
             raise CliError("--alphas must lie in (0, 1]")
+    elif args.alphas:
+        raise CliError("--alphas applies to the fractional figures 2, 4 and 6")
     _, params, r = _solve(args, key, method)
     # xi = k*x + c*t (fixed y = 0) exactly, from the grid text: the row
     # (i, j) has xi = (a + j*b + i*d) / den with integer numerators

@@ -115,7 +115,6 @@ class PdeDefinition:
     parameters: tuple
     lhs_minus_rhs: Poly
     fractional: bool = False
-    alpha_symbol: str = "alpha"
 
     def __post_init__(self):
         for v in jet_variables(self.lhs_minus_rhs):

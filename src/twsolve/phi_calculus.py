@@ -1,11 +1,10 @@
-"""Phi-substitution machinery: derivative tables for the sub-equation
+"""Phi-substitution machinery: xi-derivatives through the sub-equation
 dphi/dxi = r0 + r2*phi^2, the homogeneous-balance degree, and substitution
 of the polynomial ansatz u = sum a_i phi^i into a reduced ODE.
 
 Each application of d/dxi (one alpha unit in the fractional pipeline, via
 the chain-rule property of the modified Riemann-Liouville derivative) acts
-on polynomials in phi as (r0 + r2*phi^2) * d/dphi, so tables are built by
-exact operator composition.
+on polynomials in phi as (r0 + r2*phi^2) * d/dphi.
 """
 from __future__ import annotations
 
@@ -41,56 +40,15 @@ class SubEquationProfile:
         return cls(sigma if isinstance(sigma, str) else Fraction(sigma),
                    Fraction(1), "riccati")
 
-    def rhs_poly(self) -> Poly:
+    def derivatives(self, s: Poly, n: int) -> list:
+        """[s, D s, ..., D^n s] for a polynomial s(phi), where D = d/dxi acts
+        by the chain rule D s = (r0 + r2*phi^2) * ds/dphi."""
         r0 = Poly.var(self.r0) if isinstance(self.r0, str) else Poly.const(self.r0)
-        return r0 + Poly.const(self.r2) * Poly.var(PHI, 2)
-
-
-@dataclass(frozen=True)
-class PhiDiffTable:
-    """rows[j] represents D^j_xi as sum_d rows[j][d](phi) * (d/dphi)^d."""
-    profile: SubEquationProfile
-    rows: tuple   # rows[j] for j = 1..maxOrder, each a dict d -> Poly
-
-    def row(self, j: int) -> dict:
-        return self.rows[j - 1]
-
-    def apply(self, j: int, s: Poly) -> Poly:
-        """Apply D^j_xi to a polynomial s(phi)."""
-        if j == 0:
-            return s
-        out = Poly()
-        derivs = {0: s}
-        for d, coef in self.row(j).items():
-            if d not in derivs:
-                p = derivs[max(derivs)]
-                for _ in range(max(derivs), d):
-                    p = p.derivative(PHI)
-                    derivs[len(derivs)] = p
-            out = out + coef * derivs[d]
+        rhs = r0 + Poly.const(self.r2) * Poly.var(PHI, 2)
+        out = [s]
+        for _ in range(n):
+            out.append(rhs * out[-1].derivative(PHI))
         return out
-
-
-def apply_once(profile: SubEquationProfile, row: dict) -> dict:
-    """One more D_xi by operator composition:
-    D_xi [c(phi) (d/dphi)^d] = (r0+r2 phi^2) [c'(phi)(d/dphi)^d + c(phi)(d/dphi)^{d+1}]."""
-    rhs = profile.rhs_poly()
-    out = {}
-    for d, coef in row.items():
-        dc = rhs * coef.derivative(PHI)
-        if not dc.is_zero:
-            out[d] = out.get(d, Poly()) + dc
-        out[d + 1] = out.get(d + 1, Poly()) + rhs * coef
-    return {d: c for d, c in out.items() if not c.is_zero}
-
-
-def derivative_table(profile: SubEquationProfile, max_order: int) -> PhiDiffTable:
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    rows = [{1: profile.rhs_poly()}]
-    for _ in range(max_order - 1):
-        rows.append(apply_once(profile, rows[-1]))
-    return PhiDiffTable(profile, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -112,7 +70,7 @@ class Ansatz:
         return s
 
 
-def balance_degree(o: ReducedOde, profile: SubEquationProfile = None) -> int:
+def balance_degree(o: ReducedOde) -> int:
     """Homogeneous balance: under a degree-n ansatz each factor u^(j) has
     phi-degree n + j, so a term's degree is linear in n; n equates the two
     dominant term degrees."""
@@ -160,13 +118,12 @@ class PhiPolynomial:
 
 
 def substitute_ansatz(o: ReducedOde, a: Ansatz, profile: SubEquationProfile) -> PhiPolynomial:
-    """Replace every u^(j) via the derivative table applied to the ansatz
-    polynomial and collect the result as a polynomial identity in phi.
-    Common phi-factors are intentionally not divided out."""
+    """Replace every u^(j) by D^j of the ansatz polynomial and collect the
+    result as a polynomial identity in phi.  Common phi-factors are
+    intentionally not divided out."""
     orders = {sym: j for sym in o.expr.symbols() if (j := jet_order(sym)) is not None}
-    table = derivative_table(profile, max([1, *orders.values()]))
-    s = a.poly()
-    total = o.expr.substitute({sym: table.apply(j, s) for sym, j in orders.items()})
+    ds = profile.derivatives(a.poly(), max([0, *orders.values()]))
+    total = o.expr.substitute({sym: ds[j] for sym, j in orders.items()})
     uni = total.as_univariate(PHI)
     deg = max(uni) if uni else 0
     coefficients = tuple(uni.get(d, Poly()) for d in range(deg + 1))

@@ -34,7 +34,7 @@ class Result:
     branches: list
 
     def solutions(self, branch, params: dict, *, alpha: float = 1.0,
-                  sigma=None, omega: float = 0.0, a0: float = 0.0) -> list:
+                  sigma=-1, omega: float = 0.0, a0: float = 0.0) -> list:
         """Closed-form families of `branch` with `params` bound.  For a
         fractional definition the base values k, m, c are raised to alpha
         and bound to the frame atoms k_a, m_a, c_a."""
@@ -63,7 +63,7 @@ def run(definition: PdeDefinition, profile: SubEquationProfile = None,
                                            definition.fractional, {}))
     ode = integrate_decay(reduced, integrate) if integrate else reduced
     if degree is None:
-        degree = balance_degree(ode, profile)
+        degree = balance_degree(ode)
     phi_poly = substitute_ansatz(ode, Ansatz(degree), profile)
     system = extract_system(phi_poly)
     return Result(definition, profile, reduced, ode, degree, phi_poly, system,

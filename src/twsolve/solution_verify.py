@@ -2,8 +2,8 @@
 residual verification.
 
 Integer-order residuals are computed through the exact phi-algebra: the
-solution is a polynomial in phi, every xi-derivative is obtained from the
-sub-equation derivative table, and the whole equation collapses to a single
+solution is a polynomial in phi, every xi-derivative is pushed through the
+sub-equation by the chain rule, and the whole equation collapses to a single
 polynomial R(phi) with exact rational coefficients.  When the branch
 constraints hold, R is the zero polynomial and the residual is exactly zero.
 Fractional residuals are a measurement: each order-(j*alpha) derivative is a
@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .pde_ast import PdeDefinition, jet_multi, jet_order, term_key
-from .phi_calculus import PHI, SubEquationProfile, derivative_table
+from .phi_calculus import PHI, SIGMA, SubEquationProfile
 from .rational_poly import Poly
 from .travelling_wave import ReducedOde, WaveFrame
 from .special_fn import MLSeriesSpec, PoleAt, generalized_fn, jumarie_quadrature
@@ -178,25 +178,22 @@ def _admitted_families(sigma) -> tuple:
 
 def construct_solutions(b, profile: SubEquationProfile, param_values: dict,
                         frame: WaveFrame, *, alpha: float = 1.0,
-                        sigma=None, omega: float = 0.0,
+                        sigma=-1, omega: float = 0.0,
                         free_values: dict = None) -> list:
     """One ClosedFormSolution per family admitted by sign(sigma), with the
-    branch assignments bound at param_values.  Unassigned unknowns (free
-    coefficients, e.g. a0) default to 0 unless given in free_values."""
+    branch assignments bound at param_values.  Under the Riccati profile
+    `sigma` alone binds the symbol sigma; the classical profile fixes
+    sigma = -1.  Unassigned unknowns (free coefficients, e.g. a0) default
+    to 0 unless given in free_values."""
     vals = {k: _as_fraction(v) for k, v in param_values.items()}
     free = {k: _as_fraction(v) for k, v in (free_values or {}).items()}
     if profile.mode == "classicalTanh":
         sig = Fraction(-1)
         variant = "classical"
     else:
-        if sigma is not None:
-            sig = _as_fraction(sigma)
-        elif isinstance(profile.r0, str):
-            sig = _as_fraction(vals.get(profile.r0, Fraction(-1)))
-        else:
-            sig = _as_fraction(profile.r0)
-        if isinstance(profile.r0, str):
-            vals.setdefault(profile.r0, sig)
+        sig = vals[SIGMA] = _as_fraction(sigma)
+        if not isinstance(profile.r0, str) and profile.r0 != sig:
+            raise ValueError(f"sigma = {sig} disagrees with the profile's r0 = {profile.r0}")
         variant = "alphaGeneralized"
 
     coeffs = {}
@@ -254,9 +251,8 @@ def _residual_poly(e: Poly, s: ClosedFormSolution, param_values: dict,
     polynomial times rate(var)^order for every variable of J."""
     vals = {k: _as_fraction(v) for k, v in param_values.items()}
     syms = sorted(e.symbols())
-    max_order = max([1] + [jet_order(sym) or 0 for sym in syms])
-    table = derivative_table(_residual_profile(s), max_order)
-    S = _solution_phi_poly(s)
+    ds = _residual_profile(s).derivatives(
+        _solution_phi_poly(s), max([0] + [jet_order(sym) or 0 for sym in syms]))
     sub = {}
     for sym in syms:
         multi = jet_multi(sym)
@@ -268,7 +264,7 @@ def _residual_poly(e: Poly, s: ClosedFormSolution, param_values: dict,
             scale = Fraction(1)
             for var, o in multi:
                 scale *= _as_fraction(rate(var)) ** o
-            sub[sym] = table.apply(jet_order(sym), S) * scale
+            sub[sym] = ds[jet_order(sym)] * scale
     return e.substitute(sub)
 
 

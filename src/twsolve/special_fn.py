@@ -16,6 +16,8 @@ DEFAULT_GUARD = 50.0
 _POLE_TOL = 1e-13
 _FALLBACK_DIGITS = 30
 _FLOAT_REL_TOL = 1e-13      # accepted rounding-error bound of the float series
+_ML_TERM_TOL = 1e-16        # the series stops at a term below this share of the sum
+_QUAD_REL_TOL = 1e-6        # agreement of two quadrature refinements
 
 
 class DomainGuardExceeded(ValueError):
@@ -76,14 +78,13 @@ def _inv_gamma_floats(alpha: float, truncation: int) -> tuple:
 class MLSeriesSpec:
     alpha: float
     truncation: int = 400
-    tolerance: float = 1e-16
     domain_guard: float = DEFAULT_GUARD
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.truncation < 1 or self.tolerance <= 0:
-            raise ValueError("bad truncation/tolerance")
+        if self.truncation < 1:
+            raise ValueError("truncation must be at least 1")
 
 
 def _ml_float(spec: MLSeriesSpec, z):
@@ -98,7 +99,7 @@ def _ml_float(spec: MLSeriesSpec, z):
         total += term
         mag = abs(term)
         size += mag
-        if mag < spec.tolerance * max(abs(total), 1e-30):
+        if mag < _ML_TERM_TOL * max(abs(total), 1e-30):
             break
     else:
         return None
@@ -128,7 +129,7 @@ def mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
             power = power * zz
             term = power / _gamma_1p(spec.alpha, k)
             total = total + term
-            if abs(term) < spec.tolerance * max(abs(total), 1e-30):
+            if abs(term) < _ML_TERM_TOL * max(abs(total), 1e-30):
                 break
         else:
             raise NonConvergence(f"series did not converge in {spec.truncation} terms")
@@ -234,15 +235,14 @@ def _graded_nodes(x: float, n: int, alpha: float):
 
 
 def jumarie_quadrature(f, alpha: float, x: float, X: float = None,
-                       rel_tol: float = 1e-6, max_refine: int = 9,
-                       n0: int = 64) -> float:
+                       max_refine: int = 9, n0: int = 64) -> float:
     """Modified Riemann-Liouville derivative of a continuous f at x:
     (1/Gamma(1-alpha)) d/dx int_0^x (x-s)^(-alpha) (f(s)-f(0)) ds.
 
     The inner integral uses product integration (piecewise-linear f against
     the exact kernel) on a mesh graded toward the singularity; the outer
     derivative is a Richardson-extrapolated central difference. The mesh is
-    refined until two successive refinements agree to rel_tol."""
+    refined until two successive refinements agree to _QUAD_REL_TOL."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     X = X if X is not None else 2.0 * x
@@ -272,7 +272,7 @@ def jumarie_quadrature(f, alpha: float, x: float, X: float = None,
         n *= 2
         h /= 2
         cur = estimate(n, h)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
+        if abs(cur - prev) <= _QUAD_REL_TOL * max(abs(cur), 1.0):
             return cur
         prev = cur
     raise NonConvergence("quadrature refinement cap reached")

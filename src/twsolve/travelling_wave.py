@@ -9,13 +9,12 @@ atoms k_a, m_a, c_a and orders count alpha units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .pde_ast import (
     PdeDefinition, differentiate, jet, jet_multi, jet_order, jet_variables,
-    split_mono, term_key,
+    term_key,
 )
-from .rational_poly import Poly, factor_str, mono_mul, mono_str
+from .rational_poly import Poly, factor_str, mono_mul
 
 XI = "xi"
 
@@ -81,63 +80,28 @@ def reduce(p: PdeDefinition, f: WaveFrame) -> ReducedOde:
     return ReducedOde(expr, f, 0, factor)
 
 
-def _antiderivative_candidates(jets) -> set:
-    """Candidate jet monomials g with g' possibly proportional to a
-    combination containing `jets`: one derivative unit lowered off one
-    factor."""
-    return {mono_mul(jets, ((s, -1), (jet({XI: jet_order(s) - 1}), 1)))
-            for s, _ in jets if jet_order(s)}
-
-
 def _integrate_once(e: Poly) -> Poly:
-    """Antiderivative of `e` w.r.t. xi with zero integration constant.
-
-    Writes e as a rational-linear combination of exact derivatives of
-    monomials in u and its xi-derivatives; raises NotExactDerivative when
-    some term cannot be matched.
-    """
-    # group terms by parameter monomial; each group must be matched separately
-    groups = {}
-    for m in sorted(e.terms, key=term_key):
-        params, jets = split_mono(m)
-        groups.setdefault(params, {})[jets] = e.terms[m]
-    out = {}
-    for params, target in groups.items():
-        cands = sorted({g for jets in target for g in _antiderivative_candidates(jets)})
-        # derivative of each candidate, as a dict monomial -> coeff
-        derivs = [differentiate(Poly({g: 1}), XI).terms for g in cands]
-        rows = sorted({r for d in derivs for r in d} | set(target))
-        # exact Gaussian elimination on the (rows x candidates) system
-        matrix = [[d.get(r, Fraction(0)) for d in derivs] + [target.get(r, Fraction(0))]
-                  for r in rows]
-        ncols = len(cands)
-        piv_rows = []
-        r = 0
-        for col in range(ncols):
-            piv = next((i for i in range(r, len(matrix)) if matrix[i][col] != 0), None)
-            if piv is None:
-                continue
-            matrix[r], matrix[piv] = matrix[piv], matrix[r]
-            pv = matrix[r][col]
-            matrix[r] = [x / pv for x in matrix[r]]
-            for i in range(len(matrix)):
-                if i != r and matrix[i][col] != 0:
-                    f = matrix[i][col]
-                    matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-            piv_rows.append(col)
-            r += 1
-        for i in range(r, len(matrix)):
-            if matrix[i][ncols] != 0:
-                raise NotExactDerivative(
-                    "terms with parameters %s are not an exact xi-derivative"
-                    % (mono_str(params),))
-        coeffs = [Fraction(0)] * ncols
-        for i, col in enumerate(piv_rows):
-            coeffs[col] = matrix[i][ncols]
-        for g, c in zip(cands, coeffs):
-            if c != 0:
-                out[mono_mul(params, g)] = c
-    return Poly(out)
+    """Antiderivative of `e` w.r.t. xi with zero integration constant, by
+    peeling the top jet.  In an exact derivative F' the highest jet u_n
+    occurs linearly, e = A*u_n + B with A = dF/du_{n-1}; so int A du_{n-1}
+    joins the result, its xi-derivative leaves e, and the remainder has
+    lower order.  Raises NotExactDerivative when u_n occurs nonlinearly or
+    a term with no derivative is left over."""
+    out = Poly()
+    while not e.is_zero:
+        n = max([0, *(jet_order(s) or 0 for s in e.symbols())])
+        if n == 0:
+            raise NotExactDerivative(
+                f"not an exact xi-derivative: {e} is left over with no xi-derivative")
+        top, below = jet({XI: n}), jet({XI: n - 1})
+        if e.degree_in(top) > 1:
+            raise NotExactDerivative(
+                f"not an exact xi-derivative: the top jet {top} occurs nonlinearly")
+        g = Poly({mono_mul(m, ((below, 1),)): c / (dict(m).get(below, 0) + 1)
+                  for m, c in e.derivative(top).terms.items()})
+        out = out + g
+        e = e - differentiate(g, XI)
+    return out
 
 
 def integrate_decay(o: ReducedOde, times: int) -> ReducedOde:

@@ -128,6 +128,14 @@ def test_verify_fractional_fails_on_violated_constraint(capsys):
     ("solve", "sww", "--sigma", "1"),
     ("verify", "sww", "--sigma=-1"),
     ("solve", "sww", "--alpha", "0.5"),
+    ("solve", "sww", "--method", "subeq", "--alpha", "0.8", "--sigma=-1",
+     "--params", "sigma=2"),
+    ("solve", "sww", "--omega", "2"),
+    ("solve", "sww", "--method", "subeq", "--sigma=-1", "--omega", "2"),
+    ("verify", "sww", "--method", "subeq", "--alpha", "0.8", "--sigma=-1",
+     "--grid=-1:1:3"),
+    ("figure", "2", "--alphas", "abc"),
+    ("figure", "1", "--alphas", "0.5"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     def no_stage(*args, **kwargs):

@@ -113,6 +113,10 @@ CASES = {
     "error_grid_text": ["solve", "sww", "--grid", "a:b:3"],
     "error_figure_params_unknown": ["figure", "1", "--params", "kk=5"],
     "error_tanh_sigma": ["solve", "sww", "--sigma", "1"],
+    "error_params_sigma": ["solve", "sww", "--method", "subeq", "--alpha", "0.8",
+                           "--sigma=-1", "--params", "sigma=2"],
+    "error_fractional_grid": ["verify", "sww", "--method", "subeq", "--alpha",
+                              "0.8", "--sigma=-1", "--grid=-1:1:3"],
 }
 
 

@@ -53,7 +53,6 @@ def test_parse_params_attached():
 def test_fractional_marker():
     p = parse_pde("pde f vars(x,t) params() frac(alpha) : u_{t:1} = u_{x:2}")
     assert p.fractional
-    assert p.alpha_symbol == "alpha"
 
 
 def test_error_undeclared_variable():

@@ -1,11 +1,11 @@
-"""Derivative tables, homogeneous balance, and ansatz substitution."""
+"""Chain-rule xi-derivatives, homogeneous balance, and ansatz substitution."""
 import math
 
 import pytest
 
 from twsolve import (
     Ansatz, NonIntegerBalance, SubEquationProfile, WaveFrame, balance_degree,
-    derivative_table, parse_pde, reduce,
+    parse_pde, reduce,
 )
 from twsolve.phi_calculus import PHI
 from twsolve.rational_poly import Poly
@@ -17,11 +17,9 @@ PHI_VAR = Poly.var(PHI)
 
 
 def test_classical_table_first_rows_on_phi():
-    t = derivative_table(SubEquationProfile.classical_tanh(), 3)
+    d0, d1, d2, d3 = SubEquationProfile.classical_tanh().derivatives(PHI_VAR, 3)
     one = Poly.const(1)
-    d1 = t.apply(1, PHI_VAR)
-    d2 = t.apply(2, PHI_VAR)
-    d3 = t.apply(3, PHI_VAR)
+    assert d0 == PHI_VAR
     assert d1 == one - PHI_VAR ** 2
     assert d2 == Poly.const(-2) * PHI_VAR * (one - PHI_VAR ** 2)
     assert d3 == Poly.const(-2) * (one - PHI_VAR ** 2) * \
@@ -29,8 +27,8 @@ def test_classical_table_first_rows_on_phi():
 
 
 def test_riccati_table_first_row():
-    t = derivative_table(SubEquationProfile.riccati(), 1)
-    assert t.apply(1, PHI_VAR) == Poly.var("sigma") + PHI_VAR ** 2
+    _, d1 = SubEquationProfile.riccati().derivatives(PHI_VAR, 1)
+    assert d1 == Poly.var("sigma") + PHI_VAR ** 2
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -38,9 +36,8 @@ def test_table_matches_numeric_derivatives(order):
     """Numeric oracle: D^j applied to s(phi) = 2 + 3*phi - phi^2 must match
     high-precision numerical differentiation of s(tanh(xi)) to 1e-7."""
     import mpmath
-    t = derivative_table(SubEquationProfile.classical_tanh(), order)
     s = Poly.const(2) + Poly.const(3) * PHI_VAR - PHI_VAR ** 2
-    applied = t.apply(order, s)
+    applied = SubEquationProfile.classical_tanh().derivatives(s, order)[order]
 
     def f(xi):
         p = mpmath.tanh(xi)
@@ -55,10 +52,10 @@ def test_table_matches_numeric_derivatives(order):
 
 def test_riccati_table_matches_derivative_of_tanh_family():
     """phi = -sqrt(-sigma) tanh(sqrt(-sigma) xi) satisfies phi' = sigma+phi^2;
-    higher rows verified numerically against that phi at sigma = -2."""
+    higher derivatives verified numerically against that phi at sigma = -2."""
     sigma = -2.0
     r = math.sqrt(-sigma)
-    t = derivative_table(SubEquationProfile.riccati(), 3)
+    ds = SubEquationProfile.riccati().derivatives(PHI_VAR, 3)
 
     def phi(xi):
         return -r * math.tanh(r * xi)
@@ -66,7 +63,7 @@ def test_riccati_table_matches_derivative_of_tanh_family():
     h = 1e-3
     for xi in (-0.8, 0.4, 1.1):
         d2_num = (phi(xi + h) - 2 * phi(xi) + phi(xi - h)) / h ** 2
-        d2 = t.apply(2, PHI_VAR).eval({PHI: phi(xi), "sigma": sigma})
+        d2 = ds[2].eval({PHI: phi(xi), "sigma": sigma})
         assert abs(d2_num - float(d2)) < 1e-5
 
 
@@ -81,14 +78,14 @@ def test_balance_non_integer_rejected():
     p = parse_pde("pde nb vars(x) params() : u_xxx = u^3")
     o = reduce(p, WaveFrame(p.variables, False, {}))
     with pytest.raises(NonIntegerBalance):
-        balance_degree(o, SubEquationProfile.classical_tanh())
+        balance_degree(o)
 
 
 def test_balance_needs_nonlinear_term():
     p = parse_pde("pde lin vars(x,t) params() : u_t = u_xx")
     o = reduce(p, WaveFrame(p.variables, False, {}))
     with pytest.raises(NonIntegerBalance):
-        balance_degree(o, SubEquationProfile.classical_tanh())
+        balance_degree(o)
 
 
 def test_ansatz_symbols():

@@ -37,6 +37,17 @@ def test_construct_families_by_sigma_sign(toy):
     assert [s.family for s in zero] == ["Rational"]
 
 
+def test_construct_takes_sigma_from_its_argument_only(toy):
+    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 2})
+    with pytest.raises(ValueError, match="disagrees"):
+        construct_solutions(toy.branches[0], SubEquationProfile.riccati(2),
+                            {"k": 1, "c": 2}, frame)
+    sols = construct_solutions(toy.branches[0], SubEquationProfile.riccati(),
+                               {"k": 1, "c": 2, "sigma": 2}, frame, sigma=-1)
+    assert [(s.family, dict(s.params)["sigma"]) for s in sols] == \
+        [("Tanh", -1), ("Coth", -1)]
+
+
 def test_construct_binds_exact_coefficients(toy):
     s, _ = tanh_solution(toy, {"k": 1, "c": 2})
     assert s.coefficients == (Fraction(0), Fraction(-1))

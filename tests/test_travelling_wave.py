@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twsolve import (
     FrameError, NotExactDerivative, WaveFrame, integrate_decay, parse_pde,
     reduce,
 )
-from twsolve.pde_ast import expr_to_str, jet_order, split_mono
+from twsolve.pde_ast import differentiate, expr_to_str, jet, jet_order, split_mono
 from twsolve.rational_poly import Poly
+from twsolve.travelling_wave import XI, _integrate_once
 
 from conftest import run_pipeline, TOY_DSL, SWW_DSL, KP_DSL, BSQ_DSL
 
@@ -132,3 +134,46 @@ def test_integrate_zero_times_is_identity():
     p = parse_pde(TOY_DSL)
     o = reduce(p, WaveFrame(p.variables, False, {}))
     assert integrate_decay(o, 0).expr == o.expr
+
+
+def test_integrate_top_jet_times_lower_jet():
+    # c*u_1 + k^3*u*u_3 is the xi-derivative of c*u + k^3*(u*u_2 - u_1^2/2),
+    # though no antiderivative term is one derivative below a term of it
+    u, u1, u2, u3 = (Poly.var(jet({XI: n})) for n in range(4))
+    c, k3 = Poly.var("c"), Poly.var("k", 3)
+    half = Poly.const(Fraction(1, 2))
+    assert _integrate_once(c * u1 + k3 * u * u3) == c * u + k3 * (u * u2 - half * u1 ** 2)
+    p = parse_pde("pde a vars(x,t) params() : u_t + u*u_xxx = 0")
+    o = integrate_decay(reduce(p, WaveFrame(p.variables, False, {})), 1)
+    assert ode_str(o) == "2*k^3*u*u_{xi:2} - k^3*u_{xi:1}^2 + 2*c*u"
+
+
+def test_integrate_rejects_nonlinear_top_jet_and_leftover():
+    u1, u2 = Poly.var(jet({XI: 1})), Poly.var(jet({XI: 2}))
+    with pytest.raises(NotExactDerivative, match="occurs nonlinearly"):
+        _integrate_once(u2 ** 2)
+    with pytest.raises(NotExactDerivative, match="left over"):
+        _integrate_once(u1 + Poly.var("k"))
+
+
+JET_POWERS = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)),
+                      min_size=1, max_size=3)
+PARAM_POWERS = st.lists(st.tuples(st.sampled_from(("c", "k", "p")),
+                                  st.integers(1, 2)), max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.fractions(-5, 5, max_denominator=4).filter(bool),
+                          JET_POWERS, PARAM_POWERS), min_size=1, max_size=4))
+def test_integrate_round_trip(terms):
+    """Integrating the xi-derivative of a jet polynomial with no jet-free
+    term gives the polynomial back exactly."""
+    F = Poly()
+    for coeff, jets, params in terms:
+        t = Poly.const(coeff)
+        for n, e in jets:
+            t = t * Poly.var(jet({XI: n}), e)
+        for sym, e in params:
+            t = t * Poly.var(sym, e)
+        F = F + t
+    assert _integrate_once(differentiate(F, XI)) == F
