@@ -337,16 +337,13 @@ def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
     margin = 2.0 * (nodes[1] - nodes[0])
     for _ in range(max_j):
         prev = levels[-1]
-
-        def f(x, prev=prev):
-            return float(np.interp(x, nodes, prev))
-
         cur = np.empty_like(prev)
         for i, x in enumerate(nodes):
             if x <= margin or x >= X - margin:
                 cur[i] = np.nan
                 continue
-            cur[i] = jumarie_quadrature(f, s.alpha, float(x), X=float(X),
+            cur[i] = jumarie_quadrature(lambda t: np.interp(t, nodes, prev),
+                                        s.alpha, float(x), X=float(X),
                                         max_refine=0, n0=256)
         good = ~np.isnan(cur)
         cur[~good] = np.interp(nodes[~good], nodes[good], cur[good])
@@ -399,11 +396,15 @@ def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport
     lo, hi, n = grid
     X = 1.25 * hi
     sig = float(s.sigma)
+
+    def phi(t):
+        return np.array([s.phi(v) for v in t.ravel().tolist()]).reshape(t.shape)
+
     res = []
     for xi in _grid_points(grid):
         # single-shot product integration: phi ~ xi^alpha near 0, whose kink
         # keeps the adaptive refinement test from ever settling
-        d = jumarie_quadrature(s.phi, s.alpha, float(xi), X=X,
+        d = jumarie_quadrature(phi, s.alpha, float(xi), X=X,
                                max_refine=0, n0=512)
         p = s.phi(float(xi))
         res.append(abs(d - (sig + p * p)))

@@ -104,6 +104,28 @@ def test_verify_fractional_fails_on_violated_constraint(capsys):
     assert code == 1
 
 
+def test_fractional_verify_samples_each_integrand_once(capsys, monkeypatch):
+    """Each single-shot quadrature samples its integrand once, on the nodes
+    of all four difference offsets together, not once per node."""
+    from twsolve import solution_verify
+    quadrature = solution_verify.jumarie_quadrature
+    calls = {"quadrature": 0, "integrand": 0}
+
+    def counted_quadrature(f, *args, **kwargs):
+        calls["quadrature"] += 1
+
+        def counted(t):
+            calls["integrand"] += 1
+            return f(t)
+        return quadrature(counted, *args, **kwargs)
+
+    monkeypatch.setattr(solution_verify, "jumarie_quadrature", counted_quadrature)
+    code, out = run_cli(capsys, "verify", "kp", "--method", "subeq",
+                        "--alpha", "0.8", "--sigma=-1")
+    assert json.loads(out)["equationForm"] == "reducedOde"
+    assert calls == {"quadrature": 184, "integrand": 184}
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "sww", "--degree", "0"),
     ("verify", "sww", "--degree", "-1"),

@@ -2,14 +2,18 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from twsolve import (
-    ClosedFormSolution, DenominatorZero, FamilyMismatch, SubEquationProfile,
-    WaveFrame, alpha_limit_check, construct_solutions,
-    residual_fractional, residual_ode, residual_pde, riccati_probe,
+    ClosedFormSolution, DenominatorZero, FamilyMismatch, MLSeriesSpec,
+    SubEquationProfile, WaveFrame, alpha_limit_check, construct_solutions,
+    mittag_leffler, residual_fractional, residual_ode, residual_pde,
+    riccati_probe,
 )
+from twsolve.solution_verify import _fractional_levels
 
 from conftest import run_pipeline, BSQ_DSL, BSQ_FRAC_DSL
 
@@ -187,6 +191,25 @@ def test_fractional_residual_is_finite_measurement(alpha):
     rep = residual_fractional(s, frac.ode, params)
     assert math.isfinite(rep.max_abs)
     assert rep.equation_form == "reducedOde"
+
+
+@pytest.mark.parametrize("alpha, bounds", [
+    (0.5, (8.9e-2, 7.9e-2, 3.1e-1)),
+    (0.7, (3.8e-2, 2.3e-2, 2.7e-1)),
+    (0.9, (8.1e-3, 6.8e-3, 1.2e-1)),
+])
+def test_fractional_levels_accuracy_on_jumarie_fixed_point(alpha, bounds):
+    """u = E_alpha(xi^alpha) solves D^alpha u = u, so every derivative level
+    should reproduce u.  The bounds state the operator's present maximum
+    relative error over xi in (0.5, 4) with X = 5, for levels 1, 2, 3."""
+    spec = MLSeriesSpec(alpha)
+    s = SimpleNamespace(alpha=alpha,
+                        u_of_xi=lambda xi: mittag_leffler(spec, float(xi) ** alpha))
+    nodes, levels = _fractional_levels(s, 3, 5.0)
+    inside = (nodes > 0.5) & (nodes < 4.0)
+    u = np.array([s.u_of_xi(xi) for xi in nodes[inside]])
+    for level, bound in zip(levels[1:], bounds):
+        assert np.max(np.abs(level[inside] - u) / u) <= bound
 
 
 def test_riccati_probe_reports():

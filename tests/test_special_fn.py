@@ -3,6 +3,7 @@ modified Riemann-Liouville derivative kernels."""
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +165,32 @@ def test_generalized_trig_fallback_matches_reference():
     assert rel_err(generalized_fn("tan", 0.6, 5.0), want) <= 1e-13
 
 
+@pytest.mark.parametrize("alpha", [0.6, 0.7, 0.8, 0.9])
+def test_generalized_trig_equals_two_series_formula(alpha):
+    """The trig family takes E_a(-i t) as the conjugate of E_a(i t).  Its
+    values equal the formula with both series summed, bit for bit, on the
+    float path and on the mpmath fallback."""
+    spec = MLSeriesSpec(alpha)
+    fallbacks = 0
+    for i in range(151):
+        x = i / 25
+        xa = x ** alpha
+        ep = mittag_leffler(spec, 1j * xa)
+        em = mittag_leffler(spec, -1j * xa)
+        fallbacks += _ml_float(spec, 1j * xa) is None
+        sin_a = ((ep - em) / 2j).real
+        cos_a = ((ep + em) / 2.0).real
+        want = {"sin": sin_a, "cos": cos_a}
+        if abs(cos_a) >= 1e-13:
+            want["tan"] = sin_a / cos_a
+        if abs(sin_a) >= 1e-13:
+            want["cot"] = cos_a / sin_a
+        name = ("sin", "cos", "tan", "cot")[i % 4]
+        if name in want:
+            assert generalized_fn(name, alpha, x).hex() == want[name].hex(), (name, x)
+    assert 0 < fallbacks < 151
+
+
 def test_generalized_alpha1_reductions():
     for x in (0.5, 1.0, 2.0):
         assert abs(generalized_fn("tanh", 1.0, x) - math.tanh(x)) < 1e-12
@@ -262,6 +289,80 @@ def test_quadrature_linearity():
     b = jumarie_quadrature(g, alpha, x)
     c = jumarie_quadrature(lambda s: 2 * f(s) - 3 * g(s), alpha, x)
     assert c == pytest.approx(2 * a - 3 * b, abs=1e-8)
+
+
+def scalar_quadrature(f, alpha, x, X, max_refine=9, n0=64):
+    """The quadrature as a scalar loop over nodes and cells, one float
+    operation at a time: the reference that the vectorised cells must
+    reproduce bit for bit."""
+    oma = 1.0 - alpha
+    g = min(2.0 / (1.0 - alpha), 4.0)
+
+    def inner(y, n):
+        nodes = [y * (1.0 - ((n - i) / n) ** g) for i in range(n + 1)]
+        fx = [f(s) for s in nodes]
+        total = 0.0
+        for i in range(n):
+            a, b = nodes[i], min(nodes[i + 1], y)
+            if a >= y:
+                break
+            h = nodes[i + 1] - nodes[i]
+            if h == 0.0:
+                continue
+            slope = (fx[i + 1] - fx[i]) / h
+            pa = (y - a) ** oma
+            pb = (y - b) ** oma if y > b else 0.0
+            w1 = (pa - pb) / oma
+            qa = (y - a) ** (2 - alpha)
+            qb = (y - b) ** (2 - alpha) if y > b else 0.0
+            w2 = (y - a) * w1 - (qa - qb) / (2 - alpha)
+            total += (fx[i] - fx[0]) * w1 + slope * w2
+        return total
+
+    def estimate(n, h):
+        d1 = (inner(x + h, n) - inner(x - h, n)) / (2 * h)
+        d2 = (inner(x + h / 2, n) - inner(x - h / 2, n)) / h
+        return (4 * d2 - d1) / 3.0 / math.gamma(1.0 - alpha)
+
+    n, h = n0, min(x, X - x) / 4.0
+    prev = estimate(n, h)
+    if max_refine == 0:
+        return prev
+    for _ in range(max_refine):
+        n, h = 2 * n, h / 2
+        cur = estimate(n, h)
+        if abs(cur - prev) <= 1e-6 * max(abs(cur), 1.0):
+            return cur
+        prev = cur
+    raise NonConvergence("quadrature refinement cap reached")
+
+
+# integrands whose array and scalar evaluations round alike: numpy's `**`
+# is not libm's pow, so powers are kept out
+XP = np.linspace(0.0, 5.0, 41)
+FP = np.cos(XP) + XP * XP
+INTEGRANDS = {
+    "interp": lambda s: np.interp(s, XP, FP),
+    "cubic": lambda s: 1.0 + s * (0.5 - s * (0.25 + 0.125 * s)),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_quadrature_single_shot_is_the_scalar_loop(alpha, name):
+    f = INTEGRANDS[name]
+    for x in (0.2, 1.0, 2.2, 3.7):
+        want = scalar_quadrature(f, alpha, x, 5.0, max_refine=0, n0=256)
+        assert jumarie_quadrature(f, alpha, x, X=5.0, max_refine=0,
+                                  n0=256) == want, x
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_quadrature_adaptive_is_the_scalar_loop(alpha):
+    f = INTEGRANDS["cubic"]
+    for x in (0.5, 1.0, 2.0):
+        assert jumarie_quadrature(f, alpha, x) == scalar_quadrature(
+            f, alpha, x, 2.0 * x), x
 
 
 def test_quadrature_validation():
