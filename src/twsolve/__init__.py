@@ -19,8 +19,8 @@ from .phi_calculus import (
     balance_degree, substitute_ansatz,
 )
 from .algebra_system import (
-    Branch, BranchExplosion, CoefficientSystem, NoRootFound, Stalled,
-    extract_system, solve_numeric, solve_triangular,
+    Branch, BranchExplosion, CoefficientSystem, Stalled, extract_system,
+    solve_triangular,
 )
 from .special_fn import (
     DomainGuardExceeded, EndpointTooClose, GammaPole, MLSeriesSpec,

@@ -1,13 +1,9 @@
-"""Coefficient-matching systems: extraction from a phi-polynomial identity,
-triangular branch enumeration over exact rationals, and a multistart
-damped-Newton numeric fallback.
+"""Coefficient-matching systems: extraction from a phi-polynomial identity
+and triangular branch enumeration over exact rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from .phi_calculus import PhiPolynomial
 from .rational_poly import Poly, RationalFn, factor_str
@@ -16,10 +12,6 @@ BRANCH_CAP = 64
 
 
 class Stalled(RuntimeError):
-    pass
-
-
-class NoRootFound(RuntimeError):
     pass
 
 
@@ -261,75 +253,3 @@ def solve_triangular(s: CoefficientSystem, exhaustive: bool = False):
                 if _nontrivial(b, s.unknowns)]
     branches.sort(key=Branch.sort_key)
     return branches
-
-
-# ---------------------------------------------------------------------------
-# numeric fallback
-
-def solve_numeric(s: CoefficientSystem, param_values: dict, seeds: int = 64,
-                  rng_seed: int = 0, tol: float = 1e-12,
-                  cluster_tol: float = 1e-9, verify_tol: float = 1e-10):
-    """Multistart damped Gauss-Newton on the polynomial system with the given
-    parameters bound; unbound parameters are solved for alongside the ansatz
-    unknowns. Returns a deterministically ordered list of root dicts."""
-    bound = {k: Fraction(v) if isinstance(v, (int, Fraction)) else v
-             for k, v in param_values.items()}
-    variables = list(s.unknowns) + [p for p in s.parameters if p not in param_values]
-    polys = []
-    for _, poly in s.equations:
-        sub = poly.substitute({k: v for k, v in bound.items() if isinstance(v, Fraction)})
-        fl = {k: v for k, v in bound.items() if not isinstance(v, Fraction)}
-        polys.append((sub, fl))
-    grads = [{v: sub.derivative(v) for v in variables} for sub, _ in polys]
-
-    def fval(x):
-        vals = {v: x[i] for i, v in enumerate(variables)}
-        out = np.empty(len(polys))
-        for i, (sub, fl) in enumerate(polys):
-            out[i] = float(sub.eval({**vals, **fl}))
-        return out
-
-    def jval(x):
-        vals = {v: x[i] for i, v in enumerate(variables)}
-        J = np.empty((len(polys), len(variables)))
-        for i, (sub, fl) in enumerate(polys):
-            for j, v in enumerate(variables):
-                J[i, j] = float(grads[i][v].eval({**vals, **fl}))
-        return J
-
-    rng = np.random.default_rng(rng_seed)
-    roots = []
-    for _ in range(seeds):
-        x = rng.uniform(-5.0, 5.0, size=len(variables))
-        for _ in range(100):
-            r = fval(x)
-            if not np.all(np.isfinite(r)):
-                break
-            if np.max(np.abs(r)) < tol:
-                break
-            J = jval(x)
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            lam = 1.0
-            base = np.linalg.norm(r)
-            while lam > 1e-8:
-                xn = x + lam * step
-                rn = fval(xn)
-                if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < base:
-                    break
-                lam *= 0.5
-            else:
-                break
-            x = x + lam * step
-        r = fval(x)
-        higher = [i for i, v in enumerate(variables) if v in s.unknowns and v != "a0"]
-        if np.all(np.isfinite(r)) and np.max(np.abs(r)) < verify_tol \
-                and max(abs(x[i]) for i in higher) > 1e-6:
-            for known in roots:
-                if np.max(np.abs(known - x)) < cluster_tol:
-                    break
-            else:
-                roots.append(x.copy())
-    if not roots:
-        raise NoRootFound(f"no root after {seeds} seeds")
-    roots.sort(key=lambda x: tuple(np.round(x, 8)))
-    return [{v: float(x[i]) for i, v in enumerate(variables)} for x in roots]

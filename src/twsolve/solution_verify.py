@@ -329,21 +329,20 @@ FRACTIONAL_GRID = (0.5, 4.0, 15)
 
 
 def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
-    """levels[j][i] ~ u^{(j*alpha)} at the dense nodes; each level is one more
-    Jumarie quadrature applied to the interpolant of the previous one."""
+    """levels[j][i] ~ u^{(j*alpha)} at the dense nodes; each level is one
+    array Jumarie quadrature, over every node more than two spacings from
+    either end, of the interpolant of the previous level.  The nodes within
+    that margin take the level's linear extension."""
     delta = X / 100.0
     nodes = np.linspace(delta, X, 97)
     levels = [np.array([s.u_of_xi(x) for x in nodes])]
     margin = 2.0 * (nodes[1] - nodes[0])
+    inner = (nodes > margin) & (nodes < X - margin)
     for _ in range(max_j):
         prev = levels[-1]
-        cur = np.empty_like(prev)
-        for i, x in enumerate(nodes):
-            if x <= margin or x >= X - margin:
-                cur[i] = np.nan
-                continue
-            cur[i] = jumarie_quadrature(lambda t: np.interp(t, nodes, prev),
-                                        s.alpha, float(x), X=float(X),
+        cur = np.full_like(prev, np.nan)
+        cur[inner] = jumarie_quadrature(lambda t: np.interp(t, nodes, prev),
+                                        s.alpha, nodes[inner], X=float(X),
                                         max_refine=0, n0=256)
         good = ~np.isnan(cur)
         cur[~good] = np.interp(nodes[~good], nodes[good], cur[good])
@@ -392,7 +391,12 @@ def residual_fractional(s: ClosedFormSolution, o: ReducedOde,
 def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport:
     """Measure D^alpha phi - (sigma + phi^2) on xi > 0 for the candidate phi:
     whether the generalized functions satisfy the fractional Riccati equation
-    exactly is an open measurement, not an assumption."""
+    exactly is an open measurement, not an assumption.  The Jumarie
+    derivative needs phi(0), so a family with its pole at xi = 0 (Coth, Cot,
+    Rational with omega = 0) is refused."""
+    if s.pole_distance(0.0) == 0:
+        raise FamilyMismatch(f"{s.family} family has a pole at xi = 0, where "
+                             "the Jumarie derivative samples phi")
     lo, hi, n = grid
     X = 1.25 * hi
     sig = float(s.sigma)
@@ -400,14 +404,12 @@ def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport
     def phi(t):
         return np.array([s.phi(v) for v in t.ravel().tolist()]).reshape(t.shape)
 
-    res = []
-    for xi in _grid_points(grid):
-        # single-shot product integration: phi ~ xi^alpha near 0, whose kink
-        # keeps the adaptive refinement test from ever settling
-        d = jumarie_quadrature(phi, s.alpha, float(xi), X=X,
-                               max_refine=0, n0=512)
-        p = s.phi(float(xi))
-        res.append(abs(d - (sig + p * p)))
+    pts = _grid_points(grid)
+    # single-shot product integration: phi ~ xi^alpha near 0, whose kink
+    # keeps the adaptive refinement test from ever settling
+    d = jumarie_quadrature(phi, s.alpha, pts, X=X, max_refine=0, n0=512)
+    res = [abs(dv - (sig + p * p))
+           for dv, p in zip(d.tolist(), map(s.phi, pts.tolist()))]
     return ResidualReport(max(res), sum(res) / len(res),
                           f"xi in [{lo:g}, {hi:g}], {int(n)} points",
                           (), "fractionalRiccati")

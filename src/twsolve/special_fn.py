@@ -6,6 +6,7 @@ weakly-singular product-integration quadrature.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -203,38 +204,54 @@ def jumarie_power_rule(alpha: float, t: PowerLawTerm, x: float) -> float:
     return t.coefficient * math.gamma(1 + t.gamma) / math.gamma(arg) * x ** (t.gamma - alpha)
 
 
+_BLOCK_ROWS = 16             # kernel weights are built this many rows at a time
+
+
+def _libm_pow(d, e: float):
+    """d ** e elementwise for d >= 0 through libm's pow, as Python's float
+    `**` computes it: numpy's SIMD `**` may differ in the last bit, which
+    the outer difference quotient magnifies."""
+    return np.fromiter(map(math.pow, d.ravel().tolist(), itertools.repeat(e)),
+                       float, d.size).reshape(d.shape)
+
+
 def _frac_integral_pl(f, ys, n: int, alpha: float):
-    """int_0^y (y-s)^(-alpha) (f(s)-f(0)) ds for each y in `ys`, with f
-    piecewise linear on a mesh of n cells graded toward the singular endpoint
-    s = y and the kernel integrated exactly on each cell.  The grading
-    exponent is capped so adjacent nodes stay distinct in double precision.
+    """int_0^y (y-s)^(-alpha) (f(s)-f(0)) ds for each y in the 1-D array
+    `ys`, with f piecewise linear on a mesh of n cells graded toward the
+    singular endpoint s = y and the kernel integrated exactly on each cell.
+    The grading exponent is capped so adjacent nodes stay distinct in double
+    precision.  f is sampled once, on the nodes of every row together.
 
     Each cell repeats the float operations of a scalar cell loop, and the
-    cells are summed in order (cumsum, not the pairwise np.sum).  The powers
-    use Python's float pow, i.e. libm: numpy's SIMD `**` may differ in the
-    last bit, which the outer difference quotient magnifies."""
+    cells are summed in order (cumsum, not the pairwise np.sum).  The kernel
+    weights are built and applied in blocks of _BLOCK_ROWS rows, so the
+    temporaries stay small."""
     g = min(2.0 / (1.0 - alpha), 4.0)
-    y = np.array(ys)[:, None]
+    y = ys[:, None]
     s = y * np.array([1.0 - ((n - i) / n) ** g for i in range(n + 1)])
     fx = np.broadcast_to(f(s), s.shape)
     oma, tma = 1.0 - alpha, 2.0 - alpha
-    d = y - s
-    rows = d.tolist()
-    p = np.array([[v ** oma for v in row] for row in rows])
-    q = np.array([[v ** tma for v in row] for row in rows])
-    w1 = (p[:, :-1] - p[:, 1:]) / oma
-    w2 = d[:, :-1] * w1 - (q[:, :-1] - q[:, 1:]) / tma
-    h = np.diff(s)
-    # cells from the first one that starts at y on, and empty cells, add 0
-    live = np.logical_and.accumulate(s[:, :-1] < y, axis=1) & (h != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.diff(fx) / h
-        cells = (fx[:, :-1] - fx[:, :1]) * w1 + slope * w2
-    return np.cumsum(np.where(live, cells, 0.0), axis=1)[:, -1]
+    out = np.empty(len(ys))
+    for lo in range(0, len(ys), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        yb, sb, fb = y[rows], s[rows], fx[rows]
+        d = yb - sb
+        p = _libm_pow(d, oma)
+        q = _libm_pow(d, tma)
+        w1 = (p[:, :-1] - p[:, 1:]) / oma
+        w2 = d[:, :-1] * w1 - (q[:, :-1] - q[:, 1:]) / tma
+        h = np.diff(sb)
+        # cells from the first one that starts at y on, and empty cells, add 0
+        live = np.logical_and.accumulate(sb[:, :-1] < yb, axis=1) & (h != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.diff(fb) / h
+            cells = (fb[:, :-1] - fb[:, :1]) * w1 + slope * w2
+        out[rows] = np.cumsum(np.where(live, cells, 0.0), axis=1)[:, -1]
+    return out
 
 
-def jumarie_quadrature(f, alpha: float, x: float, X: float = None,
-                       max_refine: int = 9, n0: int = 64) -> float:
+def jumarie_quadrature(f, alpha: float, x, X=None,
+                       max_refine: int = 9, n0: int = 64):
     """Modified Riemann-Liouville derivative of a continuous f at x:
     (1/Gamma(1-alpha)) d/dx int_0^x (x-s)^(-alpha) (f(s)-f(0)) ds.
     f maps an ndarray of points to their values and is called once per
@@ -243,32 +260,45 @@ def jumarie_quadrature(f, alpha: float, x: float, X: float = None,
     The inner integral uses product integration (piecewise-linear f against
     the exact kernel) on a mesh graded toward the singularity; the outer
     derivative is a Richardson-extrapolated central difference. The mesh is
-    refined until two successive refinements agree to _QUAD_REL_TOL."""
+    refined until two successive refinements agree to _QUAD_REL_TOL.
+
+    x may be a 1-D array of points, in single-shot mode (max_refine = 0)
+    only: every point then gets the estimate it would get alone, from one
+    sample of f on all of their meshes together, and the result is an
+    array."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    X = X if X is not None else 2.0 * x
-    if x <= 0 or x >= X:
+    scalar = np.ndim(x) == 0
+    if np.ndim(x) > 1:
+        raise ValueError("x must be a scalar or a 1-D array")
+    if not scalar and max_refine != 0:
+        raise ValueError("an array x needs single-shot mode (max_refine = 0)")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    X = X if X is not None else 2.0 * xs
+    if np.any(xs <= 0) or np.any(xs >= X):
         raise ValueError("x must lie in (0, X)")
-    h0 = min(x, X - x) / 4.0
-    if h0 <= 0:
+    h0 = np.minimum(xs, X - xs) / 4.0
+    if np.any(h0 <= 0):
         raise EndpointTooClose("x within one cell of an endpoint")
 
-    def estimate(n: int, h: float) -> float:
-        ints = _frac_integral_pl(f, (x + h, x - h, x + h / 2, x - h / 2), n, alpha)
+    def estimate(n: int, h):
+        ys = np.concatenate((xs + h, xs - h, xs + h / 2, xs - h / 2))
+        ints = _frac_integral_pl(f, ys, n, alpha).reshape(4, -1)
         d1 = (ints[0] - ints[1]) / (2 * h)
         d2 = (ints[2] - ints[3]) / h
-        return float((4 * d2 - d1) / 3.0 / math.gamma(1.0 - alpha))
+        return (4 * d2 - d1) / 3.0 / math.gamma(1.0 - alpha)
 
     n, h = n0, h0
     prev = estimate(n, h)
     if max_refine == 0:
         # non-adaptive single-shot mode (sampled/interpolated integrands whose
         # interpolation error would defeat the refinement test)
-        return prev
+        return float(prev[0]) if scalar else prev
+    prev = float(prev[0])
     for _ in range(max_refine):
         n *= 2
         h /= 2
-        cur = estimate(n, h)
+        cur = float(estimate(n, h)[0])
         if abs(cur - prev) <= _QUAD_REL_TOL * max(abs(cur), 1.0):
             return cur
         prev = cur

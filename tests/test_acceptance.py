@@ -11,11 +11,12 @@ import pytest
 from twsolve import (
     PowerLawTerm, alpha_limit_check, jumarie_power_rule, jumarie_quadrature,
     mittag_leffler, MLSeriesSpec, residual_fractional, residual_ode,
-    residual_pde, solve_numeric,
+    residual_pde,
 )
 from twsolve.cli import main as cli_main
 from twsolve.rational_poly import Poly
 
+from oracles import solve_numeric
 from conftest import (
     run_pipeline, TOY_DSL, SWW_DSL, KP_DSL, BSQ_DSL, SWW_FRAC_DSL,
     KP_FRAC_DSL, BSQ_FRAC_DSL,

@@ -1,18 +1,16 @@
-"""Coefficient-system extraction, triangular branch enumeration, and the
-numeric fallback solver."""
+"""Coefficient-system extraction and triangular branch enumeration, with a
+numeric root finder as an independent oracle."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from twsolve import (
-    CoefficientSystem, NoRootFound, extract_system, solve_numeric,
-    solve_triangular,
-)
+from twsolve import CoefficientSystem, extract_system, solve_triangular
 from twsolve.algebra_system import _subs_assignment
 from twsolve.phi_calculus import PhiPolynomial
 from twsolve.rational_poly import Poly
 
+from oracles import NoRootFound, solve_numeric
 from conftest import (
     BSQ_DSL, BSQ_FRAC_DSL, KP_DSL, KP_FRAC_DSL, SWW_DSL, SWW_FRAC_DSL, TOY_DSL,
     run_pipeline,
@@ -187,7 +185,7 @@ def test_branches_are_deterministic(kp):
     assert [x.to_json() for x in a] == [x.to_json() for x in b]
 
 
-# --- numeric fallback -----------------------------------------------------
+# --- numeric oracle -------------------------------------------------------
 
 def test_numeric_kp_roots(kp):
     roots = solve_numeric(kp.system, {"k": 1, "m": 1})

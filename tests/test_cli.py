@@ -105,8 +105,9 @@ def test_verify_fractional_fails_on_violated_constraint(capsys):
 
 
 def test_fractional_verify_samples_each_integrand_once(capsys, monkeypatch):
-    """Each single-shot quadrature samples its integrand once, on the nodes
-    of all four difference offsets together, not once per node."""
+    """Each derivative level is one array quadrature over all its nodes,
+    which samples its integrand once, on the meshes of every node and
+    difference offset together: kp has two levels."""
     from twsolve import solution_verify
     quadrature = solution_verify.jumarie_quadrature
     calls = {"quadrature": 0, "integrand": 0}
@@ -123,7 +124,7 @@ def test_fractional_verify_samples_each_integrand_once(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "kp", "--method", "subeq",
                         "--alpha", "0.8", "--sigma=-1")
     assert json.loads(out)["equationForm"] == "reducedOde"
-    assert calls == {"quadrature": 184, "integrand": 184}
+    assert calls == {"quadrature": 2, "integrand": 2}
 
 
 @pytest.mark.parametrize("argv", [

@@ -71,6 +71,10 @@ CASES = {
                                      "--alpha", "0.9", "--sigma=-1", *FRAC],
     "verify_boussinesq4_subeq_pos": ["verify", "boussinesq4", "--method", "subeq",
                                      "--alpha", "0.9", "--sigma", "1", *FRAC],
+    "verify_sww_subeq_alpha06": ["verify", "sww", "--method", "subeq",
+                                 "--alpha", "0.6", "--sigma=-1"],
+    "verify_boussinesq4_subeq_tan": ["verify", "boussinesq4", "--method", "subeq",
+                                     "--alpha", "0.9", "--sigma", "1"],
     "verify_toy": ["verify", TOY, "--params", "k=1,c=2"],
     "verify_kdv": ["verify", KDV, "--integrate", "1", "--params", "k=1,c=-4"],
     "figure_1": ["figure", "1", *SMALL],

@@ -15,6 +15,7 @@ from twsolve import (
 )
 from twsolve.solution_verify import _fractional_levels
 
+from oracles import scalar_quadrature
 from conftest import run_pipeline, BSQ_DSL, BSQ_FRAC_DSL
 
 CLASSICAL = SubEquationProfile.classical_tanh()
@@ -210,6 +211,83 @@ def test_fractional_levels_accuracy_on_jumarie_fixed_point(alpha, bounds):
     u = np.array([s.u_of_xi(xi) for xi in nodes[inside]])
     for level, bound in zip(levels[1:], bounds):
         assert np.max(np.abs(level[inside] - u) / u) <= bound
+
+
+def per_node_levels(s, max_j, X):
+    """_fractional_levels as a loop of scalar single-shot quadratures, one
+    per node, each a scalar loop over cells: the reference that the array
+    quadrature must reproduce bit for bit."""
+    nodes = np.linspace(X / 100.0, X, 97)
+    levels = [np.array([s.u_of_xi(x) for x in nodes])]
+    margin = 2.0 * (nodes[1] - nodes[0])
+    for _ in range(max_j):
+        prev = levels[-1]
+        cur = np.empty_like(prev)
+        for i, x in enumerate(nodes):
+            if x <= margin or x >= X - margin:
+                cur[i] = np.nan
+                continue
+            cur[i] = scalar_quadrature(lambda t: np.interp(t, nodes, prev),
+                                       s.alpha, float(x), float(X),
+                                       max_refine=0, n0=256)
+        good = ~np.isnan(cur)
+        cur[~good] = np.interp(nodes[~good], nodes[good], cur[good])
+        levels.append(cur)
+    return nodes, levels
+
+
+def generalized(family, sigma, alpha):
+    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 1})
+    return ClosedFormSolution(family, "alphaGeneralized",
+                              (Fraction(1, 2), Fraction(1), Fraction(-2)),
+                              frame, sigma=Fraction(sigma), alpha=alpha)
+
+
+@pytest.mark.parametrize("family, sigma", [("Tanh", -1), ("Tan", 1)])
+@pytest.mark.parametrize("alpha", [0.6, 0.9])
+def test_fractional_levels_are_the_per_node_loop(family, sigma, alpha):
+    s = generalized(family, sigma, alpha)
+    nodes, levels = _fractional_levels(s, 3, 5.0)
+    want_nodes, want = per_node_levels(s, 3, 5.0)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert len(levels) == len(want) == 4
+    for level, ref in zip(levels, want):
+        assert level.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("family, sigma, omega", [
+    ("Tanh", -1, 0.0), ("Tan", 1, 0.0), ("Rational", 0, 0.5)])
+def test_riccati_probe_is_the_per_point_loop(family, sigma, omega):
+    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 1})
+    s = ClosedFormSolution(family, "alphaGeneralized",
+                           (Fraction(0), Fraction(1)), frame,
+                           sigma=Fraction(sigma), omega=omega, alpha=0.7)
+
+    grid = (0.3, 1.2, 7)
+    res = [abs(scalar_quadrature(s.phi, s.alpha, float(xi), 1.5,
+                                 max_refine=0, n0=512)
+               - (float(s.sigma) + s.phi(float(xi)) ** 2))
+           for xi in np.linspace(*grid)]
+    rep = riccati_probe(s, grid=grid)
+    assert rep.max_abs == max(res)
+    assert rep.mean_abs == sum(res) / len(res)
+
+
+@pytest.mark.parametrize("family, sigma", [("Coth", -1), ("Cot", 1), ("Rational", 0)])
+def test_riccati_probe_refuses_a_pole_at_zero(family, sigma, monkeypatch):
+    from twsolve import solution_verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated before refusing")
+
+    monkeypatch.setattr(solution_verify, "jumarie_quadrature", never)
+    monkeypatch.setattr(ClosedFormSolution, "phi", never)
+    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 1})
+    s = ClosedFormSolution(family, "alphaGeneralized",
+                           (Fraction(0), Fraction(1)), frame,
+                           sigma=Fraction(sigma), alpha=0.5)
+    with pytest.raises(FamilyMismatch, match=family):
+        riccati_probe(s)
 
 
 def test_riccati_probe_reports():

@@ -14,6 +14,8 @@ from twsolve import (
 )
 from twsolve.special_fn import _ml_float
 
+from oracles import scalar_quadrature
+
 REF_DIGITS = 40
 
 
@@ -291,52 +293,6 @@ def test_quadrature_linearity():
     assert c == pytest.approx(2 * a - 3 * b, abs=1e-8)
 
 
-def scalar_quadrature(f, alpha, x, X, max_refine=9, n0=64):
-    """The quadrature as a scalar loop over nodes and cells, one float
-    operation at a time: the reference that the vectorised cells must
-    reproduce bit for bit."""
-    oma = 1.0 - alpha
-    g = min(2.0 / (1.0 - alpha), 4.0)
-
-    def inner(y, n):
-        nodes = [y * (1.0 - ((n - i) / n) ** g) for i in range(n + 1)]
-        fx = [f(s) for s in nodes]
-        total = 0.0
-        for i in range(n):
-            a, b = nodes[i], min(nodes[i + 1], y)
-            if a >= y:
-                break
-            h = nodes[i + 1] - nodes[i]
-            if h == 0.0:
-                continue
-            slope = (fx[i + 1] - fx[i]) / h
-            pa = (y - a) ** oma
-            pb = (y - b) ** oma if y > b else 0.0
-            w1 = (pa - pb) / oma
-            qa = (y - a) ** (2 - alpha)
-            qb = (y - b) ** (2 - alpha) if y > b else 0.0
-            w2 = (y - a) * w1 - (qa - qb) / (2 - alpha)
-            total += (fx[i] - fx[0]) * w1 + slope * w2
-        return total
-
-    def estimate(n, h):
-        d1 = (inner(x + h, n) - inner(x - h, n)) / (2 * h)
-        d2 = (inner(x + h / 2, n) - inner(x - h / 2, n)) / h
-        return (4 * d2 - d1) / 3.0 / math.gamma(1.0 - alpha)
-
-    n, h = n0, min(x, X - x) / 4.0
-    prev = estimate(n, h)
-    if max_refine == 0:
-        return prev
-    for _ in range(max_refine):
-        n, h = 2 * n, h / 2
-        cur = estimate(n, h)
-        if abs(cur - prev) <= 1e-6 * max(abs(cur), 1.0):
-            return cur
-        prev = cur
-    raise NonConvergence("quadrature refinement cap reached")
-
-
 # integrands whose array and scalar evaluations round alike: numpy's `**`
 # is not libm's pow, so powers are kept out
 XP = np.linspace(0.0, 5.0, 41)
@@ -358,6 +314,29 @@ def test_quadrature_single_shot_is_the_scalar_loop(alpha, name):
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+@pytest.mark.parametrize("n0", [256, 512])
+def test_quadrature_array_is_the_scalar_loop(alpha, name, n0):
+    """An array x gets, point by point, the single-shot scalar estimate,
+    from one sample of f on every point's mesh."""
+    f = INTEGRANDS[name]
+    calls = []
+
+    def counted(s):
+        calls.append(s.shape)
+        return f(s)
+
+    # 37 points: more than one block of kernel rows, and a partial last one
+    xs = np.linspace(0.1, 4.9, 37)
+    got = jumarie_quadrature(counted, alpha, xs, X=5.0, max_refine=0, n0=n0)
+    assert calls == [(4 * len(xs), n0 + 1)]
+    assert got.shape == xs.shape
+    for x, g in zip(xs, got):
+        assert g == scalar_quadrature(f, alpha, float(x), 5.0,
+                                      max_refine=0, n0=n0), x
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
 def test_quadrature_adaptive_is_the_scalar_loop(alpha):
     f = INTEGRANDS["cubic"]
     for x in (0.5, 1.0, 2.0):
@@ -370,3 +349,12 @@ def test_quadrature_validation():
         jumarie_quadrature(lambda s: s, 1.0, 1.0)
     with pytest.raises(ValueError):
         jumarie_quadrature(lambda s: s, 0.5, 3.0, X=2.0)
+    with pytest.raises(ValueError, match="single-shot"):
+        jumarie_quadrature(lambda s: s, 0.5, np.array([1.0, 2.0]), X=5.0)
+    with pytest.raises(ValueError, match="1-D"):
+        jumarie_quadrature(lambda s: s, 0.5, np.ones((2, 2)), X=5.0,
+                           max_refine=0)
+    for xs in ([0.0, 1.0], [1.0, 5.0], [-1.0, 2.0], [1.0, 6.0]):
+        with pytest.raises(ValueError, match=r"\(0, X\)"):
+            jumarie_quadrature(lambda s: s, 0.5, np.array(xs), X=5.0,
+                               max_refine=0)
