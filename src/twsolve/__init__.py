@@ -24,8 +24,8 @@ from .algebra_system import (
 )
 from .special_fn import (
     DomainGuardExceeded, EndpointTooClose, GammaPole, MLSeriesSpec,
-    NonConvergence, PoleAt, PowerLawTerm, generalized_fn, jumarie_power_rule,
-    jumarie_quadrature, mittag_leffler,
+    NonConvergence, PoleAt, PowerLawTerm, generalized_fn, jumarie_mesh,
+    jumarie_power_rule, jumarie_quadrature, mittag_leffler,
 )
 from .solution_verify import (
     ClosedFormSolution, DenominatorZero, FamilyMismatch, PoleOnGrid,

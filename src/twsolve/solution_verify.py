@@ -21,7 +21,9 @@ from .pde_ast import PdeDefinition, jet_multi, jet_order, term_key
 from .phi_calculus import PHI, SIGMA, SubEquationProfile
 from .rational_poly import Poly
 from .travelling_wave import ReducedOde, WaveFrame
-from .special_fn import MLSeriesSpec, PoleAt, generalized_fn, jumarie_quadrature
+from .special_fn import (
+    MLSeriesSpec, PoleAt, generalized_fn, jumarie_mesh, jumarie_quadrature,
+)
 
 CONSTRAINT_TOL = 1e-12
 POLE_EXCLUSION_RADIUS = 1e-2
@@ -331,19 +333,21 @@ FRACTIONAL_GRID = (0.5, 4.0, 15)
 def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
     """levels[j][i] ~ u^{(j*alpha)} at the dense nodes; each level is one
     array Jumarie quadrature, over every node more than two spacings from
-    either end, of the interpolant of the previous level.  The nodes within
-    that margin take the level's linear extension."""
+    either end, of the interpolant of the previous level, and every level
+    applies the one quadrature mesh built here.  The nodes within that
+    margin take the level's linear extension."""
     delta = X / 100.0
     nodes = np.linspace(delta, X, 97)
     levels = [np.array([s.u_of_xi(x) for x in nodes])]
     margin = 2.0 * (nodes[1] - nodes[0])
     inner = (nodes > margin) & (nodes < X - margin)
+    mesh = jumarie_mesh(s.alpha, nodes[inner], X=float(X), n0=256) if max_j else None
     for _ in range(max_j):
         prev = levels[-1]
         cur = np.full_like(prev, np.nan)
         cur[inner] = jumarie_quadrature(lambda t: np.interp(t, nodes, prev),
                                         s.alpha, nodes[inner], X=float(X),
-                                        max_refine=0, n0=256)
+                                        max_refine=0, n0=256, mesh=mesh)
         good = ~np.isnan(cur)
         cur[~good] = np.interp(nodes[~good], nodes[good], cur[good])
         levels.append(cur)

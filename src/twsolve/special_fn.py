@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 
 DEFAULT_GUARD = 50.0
 _POLE_TOL = 1e-13
@@ -121,21 +122,32 @@ def mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
     if fast is not None:
         return fast
     # cancellation for negative/complex z eats ~|z|^(1/alpha)*log10(e) digits;
-    # widen the working precision accordingly (capped)
+    # widen the working precision accordingly (capped).  The loop works on
+    # raw libmp parts with the operations, precision and rounding that the
+    # mpf/mpc operators would apply, without their object layer.
     extra = int(min(0.5 * abs(z) ** (1.0 / spec.alpha), 200.0))
     with mpmath.workdps(_FALLBACK_DIGITS + extra):
-        zz = mpmath.mpmathify(z)
-        total = mpmath.mpf(1)
-        power = mpmath.mpf(1)
+        prec, rnd = mpmath.mp._prec_rounding
+        c = complex(z)
+        zz = (libmp.from_float(c.real), libmp.from_float(c.imag))
+        total = power = (libmp.fone, libmp.fzero)
+        tol = libmp.from_float(_ML_TERM_TOL)
+        tiny = libmp.from_float(1e-30)
+        tiny_bound = libmp.from_float(_ML_TERM_TOL * 1e-30)
         for k in range(1, spec.truncation + 1):
-            power = power * zz
-            term = power / _gamma_1p(spec.alpha, k)
-            total = total + term
-            if abs(term) < _ML_TERM_TOL * max(abs(total), 1e-30):
+            power = libmp.mpc_mul(power, zz, prec, rnd)
+            term = libmp.mpc_div_mpf(power, _gamma_1p(spec.alpha, k)._mpf_, prec, rnd)
+            total = libmp.mpc_add(total, term, prec, rnd)
+            # |term| < _ML_TERM_TOL * max(|total|, 1e-30)
+            size = libmp.mpc_abs(total, prec, rnd)
+            bound = (tiny_bound if libmp.mpf_lt(size, tiny)
+                     else libmp.mpf_mul(size, tol, prec, rnd))
+            if libmp.mpf_lt(libmp.mpc_abs(term, prec, rnd), bound):
                 break
         else:
             raise NonConvergence(f"series did not converge in {spec.truncation} terms")
-        result = complex(total)
+        # to_float rounds down unless told the context's rounding
+        result = libmp.mpc_to_complex(total, rnd=rnd)
     if abs(result.imag) < 1e-30 and isinstance(z, (int, float)):
         return result.real
     return result
@@ -204,7 +216,7 @@ def jumarie_power_rule(alpha: float, t: PowerLawTerm, x: float) -> float:
     return t.coefficient * math.gamma(1 + t.gamma) / math.gamma(arg) * x ** (t.gamma - alpha)
 
 
-_BLOCK_ROWS = 16             # kernel weights are built this many rows at a time
+_BLOCK_ROWS = 16             # kernel rows are weighed and applied this many at a time
 
 
 def _libm_pow(d, e: float):
@@ -215,43 +227,98 @@ def _libm_pow(d, e: float):
                        float, d.size).reshape(d.shape)
 
 
-def _frac_integral_pl(f, ys, n: int, alpha: float):
-    """int_0^y (y-s)^(-alpha) (f(s)-f(0)) ds for each y in the 1-D array
-    `ys`, with f piecewise linear on a mesh of n cells graded toward the
-    singular endpoint s = y and the kernel integrated exactly on each cell.
-    The grading exponent is capped so adjacent nodes stay distinct in double
-    precision.  f is sampled once, on the nodes of every row together.
+@dataclass(frozen=True, eq=False)
+class JumarieMesh:
+    """The product-integration mesh of one single-shot quadrature: for the
+    four difference offsets y of every point, the nodes s of n cells graded
+    toward the singular endpoint s = y, and the exact kernel weights w1, w2
+    of each cell.  The weights depend on alpha, the points, X and n but not
+    on the integrand, so one mesh serves any number of integrands."""
+    alpha: float
+    x: np.ndarray           # the points, 1-D
+    X: object               # the X the points were checked against
+    n: int                  # cells per offset
+    h: np.ndarray           # difference step of each point
+    s: np.ndarray           # graded nodes, one row per offset
+    w1: np.ndarray
+    w2: np.ndarray
+    live: np.ndarray        # the cells that add to their row's integral
 
-    Each cell repeats the float operations of a scalar cell loop, and the
-    cells are summed in order (cumsum, not the pairwise np.sum).  The kernel
-    weights are built and applied in blocks of _BLOCK_ROWS rows, so the
-    temporaries stay small."""
+
+def _build_mesh(alpha: float, xs, X, n: int, h) -> JumarieMesh:
+    """Nodes and weights of int_0^y (y-s)^(-alpha) (f(s)-f(0)) ds for
+    f piecewise linear on the graded nodes, at y in {x+h, x-h, x+h/2,
+    x-h/2}.  The grading exponent is capped so adjacent nodes stay distinct
+    in double precision.  The weights are built in blocks of _BLOCK_ROWS
+    rows, so the temporaries stay small."""
+    ys = np.concatenate((xs + h, xs - h, xs + h / 2, xs - h / 2))
     g = min(2.0 / (1.0 - alpha), 4.0)
     y = ys[:, None]
     s = y * np.array([1.0 - ((n - i) / n) ** g for i in range(n + 1)])
-    fx = np.broadcast_to(f(s), s.shape)
     oma, tma = 1.0 - alpha, 2.0 - alpha
-    out = np.empty(len(ys))
+    w1 = np.empty((len(ys), n))
+    w2 = np.empty_like(w1)
     for lo in range(0, len(ys), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        yb, sb, fb = y[rows], s[rows], fx[rows]
-        d = yb - sb
+        d = y[rows] - s[rows]
         p = _libm_pow(d, oma)
         q = _libm_pow(d, tma)
-        w1 = (p[:, :-1] - p[:, 1:]) / oma
-        w2 = d[:, :-1] * w1 - (q[:, :-1] - q[:, 1:]) / tma
-        h = np.diff(sb)
-        # cells from the first one that starts at y on, and empty cells, add 0
-        live = np.logical_and.accumulate(sb[:, :-1] < yb, axis=1) & (h != 0.0)
+        w1[rows] = (p[:, :-1] - p[:, 1:]) / oma
+        w2[rows] = d[:, :-1] * w1[rows] - (q[:, :-1] - q[:, 1:]) / tma
+    # cells from the first one that starts at y on, and empty cells, add 0
+    live = np.logical_and.accumulate(s[:, :-1] < y, axis=1) & (np.diff(s) != 0.0)
+    return JumarieMesh(alpha, xs, X, n, h, s, w1, w2, live)
+
+
+def _estimate(mesh: JumarieMesh, f):
+    """The Richardson-extrapolated central difference of the inner
+    integrals at every point of the mesh.  f is sampled once, on the nodes
+    of every row together.  Each cell repeats the float operations of a
+    scalar cell loop, and the cells are summed in order (cumsum, not the
+    pairwise np.sum), in blocks of _BLOCK_ROWS rows."""
+    s = mesh.s
+    fx = np.broadcast_to(f(s), s.shape)
+    ints = np.empty(len(s))
+    for lo in range(0, len(s), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        fb = fx[rows]
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.diff(fb) / h
-            cells = (fb[:, :-1] - fb[:, :1]) * w1 + slope * w2
-        out[rows] = np.cumsum(np.where(live, cells, 0.0), axis=1)[:, -1]
-    return out
+            slope = np.diff(fb) / np.diff(s[rows])
+            cells = (fb[:, :-1] - fb[:, :1]) * mesh.w1[rows] + slope * mesh.w2[rows]
+        ints[rows] = np.cumsum(np.where(mesh.live[rows], cells, 0.0), axis=1)[:, -1]
+    ints = ints.reshape(4, -1)
+    h = mesh.h
+    d1 = (ints[0] - ints[1]) / (2 * h)
+    d2 = (ints[2] - ints[3]) / h
+    return (4 * d2 - d1) / 3.0 / math.gamma(1.0 - mesh.alpha)
+
+
+def _points(alpha: float, x, X):
+    """Checked points: (x is scalar, x as a 1-D array, X, difference step)."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    if np.ndim(x) > 1:
+        raise ValueError("x must be a scalar or a 1-D array")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    X = X if X is not None else 2.0 * xs
+    if np.any(xs <= 0) or np.any(xs >= X):
+        raise ValueError("x must lie in (0, X)")
+    h = np.minimum(xs, X - xs) / 4.0
+    if np.any(h <= 0):
+        raise EndpointTooClose("x within one cell of an endpoint")
+    return np.ndim(x) == 0, xs, X, h
+
+
+def jumarie_mesh(alpha: float, x, X=None, n0: int = 64) -> JumarieMesh:
+    """The mesh of a single-shot `jumarie_quadrature(f, alpha, x, X,
+    max_refine=0, n0=n0)`: pass it to such calls as `mesh=` to weigh the
+    kernel once for several integrands on the same points."""
+    _, xs, X, h = _points(alpha, x, X)
+    return _build_mesh(alpha, xs, X, n0, h)
 
 
 def jumarie_quadrature(f, alpha: float, x, X=None,
-                       max_refine: int = 9, n0: int = 64):
+                       max_refine: int = 9, n0: int = 64, mesh=None):
     """Modified Riemann-Liouville derivative of a continuous f at x:
     (1/Gamma(1-alpha)) d/dx int_0^x (x-s)^(-alpha) (f(s)-f(0)) ds.
     f maps an ndarray of points to their values and is called once per
@@ -265,40 +332,27 @@ def jumarie_quadrature(f, alpha: float, x, X=None,
     x may be a 1-D array of points, in single-shot mode (max_refine = 0)
     only: every point then gets the estimate it would get alone, from one
     sample of f on all of their meshes together, and the result is an
-    array."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    scalar = np.ndim(x) == 0
-    if np.ndim(x) > 1:
-        raise ValueError("x must be a scalar or a 1-D array")
-    if not scalar and max_refine != 0:
-        raise ValueError("an array x needs single-shot mode (max_refine = 0)")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    X = X if X is not None else 2.0 * xs
-    if np.any(xs <= 0) or np.any(xs >= X):
-        raise ValueError("x must lie in (0, X)")
-    h0 = np.minimum(xs, X - xs) / 4.0
-    if np.any(h0 <= 0):
-        raise EndpointTooClose("x within one cell of an endpoint")
-
-    def estimate(n: int, h):
-        ys = np.concatenate((xs + h, xs - h, xs + h / 2, xs - h / 2))
-        ints = _frac_integral_pl(f, ys, n, alpha).reshape(4, -1)
-        d1 = (ints[0] - ints[1]) / (2 * h)
-        d2 = (ints[2] - ints[3]) / h
-        return (4 * d2 - d1) / 3.0 / math.gamma(1.0 - alpha)
-
-    n, h = n0, h0
-    prev = estimate(n, h)
+    array.  A single-shot call may take its mesh from `jumarie_mesh` of the
+    same alpha, x, X and n0; the result is the same, bit for bit."""
+    scalar, xs, X, h0 = _points(alpha, x, X)
+    if (not scalar or mesh is not None) and max_refine != 0:
+        raise ValueError("an array x or a mesh needs single-shot mode (max_refine = 0)")
+    if mesh is None:
+        mesh = _build_mesh(alpha, xs, X, n0, h0)
+    elif (mesh.alpha != alpha or mesh.n != n0 or not np.array_equal(mesh.x, xs)
+          or not np.array_equal(mesh.X, X)):
+        raise ValueError("the mesh was built for another alpha, x, X or n0")
+    prev = _estimate(mesh, f)
     if max_refine == 0:
         # non-adaptive single-shot mode (sampled/interpolated integrands whose
         # interpolation error would defeat the refinement test)
         return float(prev[0]) if scalar else prev
     prev = float(prev[0])
+    n, h = n0, h0
     for _ in range(max_refine):
         n *= 2
-        h /= 2
-        cur = float(estimate(n, h)[0])
+        h = h / 2
+        cur = float(_estimate(_build_mesh(alpha, xs, X, n, h), f)[0])
         if abs(cur - prev) <= _QUAD_REL_TOL * max(abs(cur), 1.0):
             return cur
         prev = cur

@@ -1,14 +1,20 @@
 """Independent references for the test suite: a numeric root finder for
-coefficient systems, and the Jumarie quadrature as a scalar loop.  Neither
-is part of twsolve; each checks one of its exact or vectorised paths."""
+coefficient systems, the Jumarie quadrature as a scalar loop, and the
+Mittag-Leffler series with its fallback on mpmath's number objects.  None
+is part of twsolve; each checks one of its exact, vectorised or raw paths."""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from twsolve import CoefficientSystem, NonConvergence
+from twsolve.special_fn import (
+    _FALLBACK_DIGITS, _ML_TERM_TOL, DomainGuardExceeded, MLSeriesSpec,
+    _gamma_1p, _ml_float,
+)
 
 
 class NoRootFound(RuntimeError):
@@ -128,3 +134,33 @@ def scalar_quadrature(f, alpha, x, X, max_refine=9, n0=64):
             return cur
         prev = cur
     raise NonConvergence("quadrature refinement cap reached")
+
+
+def operator_mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
+    """`special_fn.mittag_leffler` with its fallback written with mpmath's
+    mpf/mpc operators: the reference that the raw libmp loop must
+    reproduce bit for bit."""
+    if abs(z) > spec.domain_guard:
+        raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {spec.domain_guard:g}")
+    fast = _ml_float(spec, z)
+    if fast is not None:
+        return fast
+    # cancellation for negative/complex z eats ~|z|^(1/alpha)*log10(e) digits;
+    # widen the working precision accordingly (capped)
+    extra = int(min(0.5 * abs(z) ** (1.0 / spec.alpha), 200.0))
+    with mpmath.workdps(_FALLBACK_DIGITS + extra):
+        zz = mpmath.mpmathify(z)
+        total = mpmath.mpf(1)
+        power = mpmath.mpf(1)
+        for k in range(1, spec.truncation + 1):
+            power = power * zz
+            term = power / _gamma_1p(spec.alpha, k)
+            total = total + term
+            if abs(term) < _ML_TERM_TOL * max(abs(total), 1e-30):
+                break
+        else:
+            raise NonConvergence(f"series did not converge in {spec.truncation} terms")
+        result = complex(total)
+    if abs(result.imag) < 1e-30 and isinstance(z, (int, float)):
+        return result.real
+    return result

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: solve, verify, figure, tabulate, determinism."""
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +127,33 @@ def test_fractional_verify_samples_each_integrand_once(capsys, monkeypatch):
                         "--alpha", "0.8", "--sigma=-1")
     assert json.loads(out)["equationForm"] == "reducedOde"
     assert calls == {"quadrature": 2, "integrand": 2}
+
+
+def test_fractional_commands_run_under_the_benchmark_tracer(capsys):
+    """The benchmark's traced run wraps mittag_leffler (hashing its spec and
+    z), ClosedFormSolution.phi (hashing xi) and jumarie_quadrature (wrapping
+    its first positional argument); every call of the fractional commands
+    must pass through those wrappers unharmed."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for command in ("verify", "solve"):
+            for key in ("kp", "sww"):
+                for sigma in ("-1", "1"):
+                    cli.main([command, key, "--method", "subeq",
+                              "--alpha", "0.6", "--sigma", sigma])
+                    out = capsys.readouterr().out
+                    assert "error" not in json.loads(out), (command, key, sigma)
+    finally:
+        tracer.uninstall()
+    assert not +tracer.errors
+    quadratures = tracer.calls["special_fn.jumarie_quadrature"]
+    assert quadratures > 0
+    assert tracer.integrand_calls == quadratures
 
 
 @pytest.mark.parametrize("argv", [

@@ -92,6 +92,11 @@ CASES = {
     "tabulate_ml": ["tabulate", "ml", "--alpha", "0.5", "--grid=-3:3:7"],
     "tabulate_tanh": ["tabulate", "tanh", "--alpha", "0.8", "--grid", "0:2:5"],
     "tabulate_cot": ["tabulate", "cot", "--alpha", "0.9", "--grid", "0:1:3"],
+    # these three take the extended-precision Mittag-Leffler fallback
+    "tabulate_ml_fallback": ["tabulate", "ml", "--alpha", "0.6", "--grid=-7.5:-1.5:5"],
+    "tabulate_cos_fallback": ["tabulate", "cos", "--alpha", "0.6", "--grid", "0:5:11"],
+    "verify_kp_subeq_tan_dense": ["verify", "kp", "--method", "subeq", "--alpha", "0.6",
+                                  "--sigma", "1"],
     "error_unknown_key": ["solve", "nosuchpde"],
     "error_bad_params": ["solve", "sww", "--params", "k"],
     "error_bad_number": ["solve", "sww", "--params", "k=one"],

@@ -255,6 +255,23 @@ def test_fractional_levels_are_the_per_node_loop(family, sigma, alpha):
         assert level.tobytes() == ref.tobytes()
 
 
+def test_fractional_levels_weigh_one_mesh(monkeypatch):
+    """Every derivative level applies the one mesh that _fractional_levels
+    builds (test_fractional_levels_are_the_per_node_loop pins the bytes)."""
+    from twsolve import special_fn
+    build = special_fn._build_mesh
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(special_fn, "_build_mesh", counted)
+    _, levels = _fractional_levels(generalized("Tan", 1, 0.6), 3, 5.0)
+    assert len(levels) == 4
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("family, sigma, omega", [
     ("Tanh", -1, 0.0), ("Tan", 1, 0.0), ("Rational", 0, 0.5)])
 def test_riccati_probe_is_the_per_point_loop(family, sigma, omega):

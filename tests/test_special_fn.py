@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from twsolve import (
     DomainGuardExceeded, GammaPole, MLSeriesSpec, NonConvergence, PoleAt,
-    PowerLawTerm, generalized_fn, jumarie_power_rule, jumarie_quadrature,
-    mittag_leffler,
+    PowerLawTerm, generalized_fn, jumarie_mesh, jumarie_power_rule,
+    jumarie_quadrature, mittag_leffler,
 )
 from twsolve.special_fn import _ml_float
 
-from oracles import scalar_quadrature
+from oracles import operator_mittag_leffler, scalar_quadrature
 
 REF_DIGITS = 40
 
@@ -127,6 +127,32 @@ def test_ml_accuracy_contract(alpha):
             assert alpha == 0.5 and z.real <= -8, z
             got = mittag_leffler(MLSeriesSpec(alpha, truncation=800), z)
         assert rel_err(got, ml_ref(alpha, z)) <= 1e-13, z
+
+
+# arguments of the trig family (imaginary), the negative real axis and
+# the complex plane, each of which the float series leaves to the fallback
+FALLBACK_ZS = ([1j * t for t in (1.5, 2.5, 4.0, 5.0, 6.5)] + [-3j]
+               + [-1.5, -3, -4.5, -6.5]
+               + [complex(-2.0, 1.0), complex(1.5, 3.0), complex(-4.0, -2.5)])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.7, 0.8, 0.9])
+def test_ml_fallback_is_the_operator_loop(alpha):
+    """The fallback on raw libmp parts returns what the same series on
+    mpf/mpc objects returns, bit for bit and of the same type."""
+    spec = MLSeriesSpec(alpha)
+    for z in FALLBACK_ZS:
+        assert _ml_float(spec, z) is None, z
+        got, want = mittag_leffler(spec, z), operator_mittag_leffler(spec, z)
+        assert type(got) is type(want), z
+        assert got == want, z
+
+
+def test_ml_fallback_keeps_its_term_cap():
+    with pytest.raises(NonConvergence):
+        mittag_leffler(MLSeriesSpec(0.5), -10.0)
+    with pytest.raises(NonConvergence):
+        operator_mittag_leffler(MLSeriesSpec(0.5), -10.0)
 
 
 def test_ml_float_path_serves_hyperbolic_arguments():
@@ -334,6 +360,33 @@ def test_quadrature_array_is_the_scalar_loop(alpha, name, n0):
     for x, g in zip(xs, got):
         assert g == scalar_quadrature(f, alpha, float(x), 5.0,
                                       max_refine=0, n0=n0), x
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_quadrature_mesh_serves_every_integrand(alpha):
+    """One mesh applied to two integrands gives, bit for bit, what two
+    calls that weigh their own mesh give."""
+    xs = np.linspace(0.1, 4.9, 37)
+    mesh = jumarie_mesh(alpha, xs, X=5.0, n0=256)
+    for name, f in sorted(INTEGRANDS.items()):
+        got = jumarie_quadrature(f, alpha, xs, X=5.0, max_refine=0, n0=256,
+                                 mesh=mesh)
+        want = jumarie_quadrature(f, alpha, xs, X=5.0, max_refine=0, n0=256)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_quadrature_rejects_a_mesh_of_other_points():
+    f = INTEGRANDS["cubic"]
+    xs = np.linspace(0.5, 4.5, 9)
+    mesh = jumarie_mesh(0.6, xs, X=5.0, n0=64)
+    for alpha, x, X, n0 in ((0.7, xs, 5.0, 64), (0.6, xs[1:], 5.0, 64),
+                            (0.6, xs + 0.01, 5.0, 64), (0.6, xs, 6.0, 64),
+                            (0.6, xs, 5.0, 128)):
+        with pytest.raises(ValueError, match="mesh was built"):
+            jumarie_quadrature(f, alpha, x, X=X, max_refine=0, n0=n0, mesh=mesh)
+    with pytest.raises(ValueError, match="single-shot"):
+        jumarie_quadrature(f, 0.6, 1.0, X=5.0, n0=64,
+                           mesh=jumarie_mesh(0.6, 1.0, X=5.0, n0=64))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
