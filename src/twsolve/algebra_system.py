@@ -76,36 +76,25 @@ def _subs_assignment(poly: Poly, unknown: str, value: RationalFn) -> Poly:
 
 
 def _equation_steps(poly: Poly, unknowns):
-    """Admissible factor steps for one equation.
-
-    Returns a list of (kind, unknown, value-or-None): zero branches from the
-    unknown-monomial content, plus a linear solve of the deflated polynomial
-    in a single unknown whose leading coefficient is unknown-free.
-    """
-    present = [u for u in unknowns if poly.degree_in(u) > 0]
-    if not present:
-        return []
-    steps = []
-    content = dict(poly.monomial_content(set(unknowns)))
-    deflated = poly
-    for u in unknowns:
-        if content.get(u, 0) > 0:
-            steps.append(("zero", u, None))
-    if content:
-        deflated = poly.divide_monomial(tuple(sorted(content.items())))
+    """Factor steps for one equation, as (unknown, value) pairs: u = 0 for
+    each unknown in the unknown-monomial content, then a linear solve of the
+    deflated polynomial in the first unknown that occurs linearly with an
+    unknown-free leading coefficient.  Each step zeroes a factor of `poly`."""
+    content = poly.monomial_content(set(unknowns))
+    zeroed = {u for u, _ in content}
+    steps = [(u, RationalFn.const(0)) for u in unknowns if u in zeroed]
+    deflated = poly.divide_monomial(content)
     for u in unknowns:
         if deflated.degree_in(u) == 1:
             uni = deflated.as_univariate(u)
-            lead = uni[1]
-            if not (lead.symbols() & set(unknowns)):
-                c0 = uni.get(0, Poly())
-                steps.append(("solve", u, RationalFn(-c0, lead)))
+            if not (uni[1].symbols() & set(unknowns)):
+                steps.append((u, RationalFn(-uni.get(0, Poly()), uni[1])))
                 break
     return steps
 
 
 def _solve_state(equations, unknowns, parameters, assignments, constraints,
-                 denominators, provenance, results, prefer_first_only=True):
+                 denominators, provenance, results):
     """Depth-first branch enumeration. `equations` is a list of
     (phi_power, Poly) still containing unknowns."""
     if len(results) > BRANCH_CAP:
@@ -141,39 +130,20 @@ def _solve_state(equations, unknowns, parameters, assignments, constraints,
         results.append(Branch(_resolve_assignments(assignments), _dedupe(final),
                               _dedupe(denominators), provenance))
         return
-    stepped = False
+    # branch on the steps of the first row that has any (highest phi-row
+    # first); each step zeroes a factor of that row, so the row drops out
     for power, poly in pending:
         steps = _equation_steps(poly, unknowns)
-        if not steps:
-            continue
-        stepped = True
-        for kind, u, value in steps:
-            if kind == "zero":
-                value = RationalFn.const(0)
-                desc = f"{u}=0"
-                new_denoms = denominators
-            else:
-                desc = f"{u}={value}"
-                new_denoms = denominators + [value.den] if not value.den.is_constant \
-                    else denominators
-            new_eqs = []
-            for pw, pl in pending:
-                if (pw, pl) == (power, poly) and kind == "solve":
-                    # the solved factor vanishes; the cleared unknown-monomial
-                    # content of this equation contributes no new condition
-                    continue
-                new_eqs.append((pw, _subs_assignment(pl, u, value)))
-            new_assign = dict(assignments)
-            new_assign[u] = value
-            _solve_state(new_eqs, unknowns, parameters, new_assign, constraints,
-                         new_denoms, provenance + [(power, desc)], results,
-                         prefer_first_only)
-        if prefer_first_only:
+        if steps:
             break
-    if not stepped:
-        if prefer_first_only:
-            raise Stalled("no equation admits a factor step")
-        return  # exhaustive mode: this ordering dead-ends, others may not
+    else:
+        raise Stalled("no equation admits a factor step")
+    for u, value in steps:
+        new_denoms = denominators if value.den.is_constant else denominators + [value.den]
+        _solve_state([(pw, _subs_assignment(pl, u, value)) for pw, pl in pending
+                      if pw != power],
+                     unknowns, parameters, {**assignments, u: value}, constraints,
+                     new_denoms, provenance + [(power, f"{u}={value}")], results)
 
 
 def _subs_rational(v: RationalFn, u: str, value: RationalFn) -> RationalFn:
@@ -210,7 +180,7 @@ def _dedupe(constraints):
     return list(seen.values())
 
 
-def _dedupe_branches(branches, unknowns):
+def _dedupe_branches(branches):
     out = []
     for b in branches:
         dup = False
@@ -236,20 +206,15 @@ def _nontrivial(branch: Branch, unknowns) -> bool:
     return False
 
 
-def solve_triangular(s: CoefficientSystem, exhaustive: bool = False):
+def solve_triangular(s: CoefficientSystem):
     """Branch enumeration: repeatedly factor an equation (highest phi-row
     first), branch on each admissible factor, substitute, and collect
-    unknown-free residual equations as parameter constraints.
-
-    With exhaustive=True every equation ordering is tried (the brute-force
-    completeness oracle); the default follows the highest-row-first policy.
-    """
+    unknown-free residual equations as parameter constraints."""
     if not s.equations:
         raise ValueError("empty system")
     results = []
     _solve_state(list(s.equations), s.unknowns, s.parameters, {}, [], [], [],
-                 results, prefer_first_only=not exhaustive)
-    branches = [b for b in _dedupe_branches(results, s.unknowns)
-                if _nontrivial(b, s.unknowns)]
+                 results)
+    branches = [b for b in _dedupe_branches(results) if _nontrivial(b, s.unknowns)]
     branches.sort(key=Branch.sort_key)
     return branches

@@ -28,7 +28,6 @@ class RegistryEntry:
     dsl: str                        # read in alpha-units under --method subeq
     integrate_times: int            # decay integrations before balancing
     figure_defaults: dict           # named parameter set from the figure caption
-    caption: str
     warnings: tuple = ()
     fractional_warnings: tuple = ()     # replace `warnings` for --method subeq
 
@@ -50,13 +49,11 @@ REGISTRY = {
              "u_xt + u_xx = u_xxxy + p*u_x*u_xt + q*u_t*u_xx"),
         integrate_times=1,
         figure_defaults={"k": 1, "m": 1, "c": 3, "p": 1, "q": 1},
-        caption="p = q = m = k = 1, c = 3",
     ),
     "kp": RegistryEntry(
         dsl="pde kp vars(x,y,t) params() : (u_t + 6*u*u_x + u_xxx)_x = u_yy",
         integrate_times=2,
         figure_defaults={"k": 1, "m": 1, "c": 3.68},
-        caption="m = k = 1, c = 3.68",
         warnings=(
             "derived constraint is 3*a0^2 - 8*k^2*a0 + 4*k^4 = 0; the printed "
             "relation 9*a0^2 = 8*k^2 + 2*k^4 in the source derivation is not "
@@ -73,7 +70,6 @@ REGISTRY = {
         dsl="pde boussinesq4 vars(x,t) params() : u_tt = u_xx + 3*(u^2)_xx + u_xxxx",
         integrate_times=2,
         figure_defaults={"k": 1, "c": 1},
-        caption="c = k = 1",
         warnings=BOUSSINESQ_WARNINGS,
         fractional_warnings=BOUSSINESQ_WARNINGS,
     ),
@@ -169,6 +165,9 @@ def _check_method(args, method, definition):
         raise CliError("method subeq requires a fractional definition or --sigma")
     if method == "tanh" and definition.fractional:
         raise CliError("method tanh applies to integer-order definitions")
+    if "alpha" in args and args.alpha < 1 and not definition.fractional:
+        raise CliError("--alpha below 1 needs a fractional definition; an "
+                       "integer-order one reads only alpha = 1")
     # figure has no residual grid; below alpha = 1 the fractional residual
     # is measured on xi > 0
     if "grid" in args and definition.fractional and args.alpha < 1 and \
@@ -235,11 +234,11 @@ def _residual(r, s, grid_text, form="originalPde"):
     """Residual of solution `s`: a measurement on the reduced ODE for a
     fractional definition, exact on the original PDE or `form` otherwise."""
     if r.definition.fractional:
-        return residual_fractional(s, r.ode, dict(s.params),
-                                   _parse_grid(grid_text, FRACTIONAL_GRID))
+        return residual_fractional(s, r.ode,
+                                   grid=_parse_grid(grid_text, FRACTIONAL_GRID))
     grid = _parse_grid(grid_text, DEFAULT_GRID)
     if form == "reducedOde":
-        return residual_ode(s, r.ode, dict(s.params), grid)
+        return residual_ode(s, r.ode, grid=grid)
     return residual_pde(s, r.definition, grid)
 
 
@@ -389,7 +388,7 @@ def cmd_tabulate(args) -> int:
             v = mittag_leffler(spec, x)
         else:
             try:
-                v = generalized_fn(args.fn, args.alpha, x, spec)
+                v = generalized_fn(args.fn, args.alpha, x)
             except ZeroDivisionError:
                 continue
         lines.append(f"{FMT % x},{FMT % v}")

@@ -54,14 +54,14 @@ class SubEquationProfile:
 @dataclass(frozen=True)
 class Ansatz:
     degree: int
-    coeff_symbols: tuple = ()
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("ansatz degree must be >= 1")
-        if not self.coeff_symbols:
-            object.__setattr__(self, "coeff_symbols",
-                               tuple(f"a{i}" for i in range(self.degree + 1)))
+
+    @property
+    def coeff_symbols(self) -> tuple:
+        return tuple(f"a{i}" for i in range(self.degree + 1))
 
     def poly(self) -> Poly:
         s = Poly()

@@ -47,8 +47,7 @@ class Result:
         frame = WaveFrame(self.definition.variables, fractional,
                           {s: params[s] for s in symbols.values() if s in params})
         return construct_solutions(branch, self.profile, params, frame,
-                                   alpha=alpha, sigma=sigma, omega=omega,
-                                   free_values={"a0": a0})
+                                   alpha=alpha, sigma=sigma, omega=omega, a0=a0)
 
 
 def run(definition: PdeDefinition, profile: SubEquationProfile = None,

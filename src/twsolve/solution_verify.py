@@ -21,9 +21,7 @@ from .pde_ast import PdeDefinition, jet_multi, jet_order, term_key
 from .phi_calculus import PHI, SIGMA, SubEquationProfile
 from .rational_poly import Poly
 from .travelling_wave import ReducedOde, WaveFrame
-from .special_fn import (
-    MLSeriesSpec, PoleAt, generalized_fn, jumarie_mesh, jumarie_quadrature,
-)
+from .special_fn import PoleAt, generalized_fn, jumarie_mesh, jumarie_quadrature
 
 CONSTRAINT_TOL = 1e-12
 POLE_EXCLUSION_RADIUS = 1e-2
@@ -86,19 +84,16 @@ class ClosedFormSolution:
         if self.family in HYPERBOLIC_FAMILIES:
             r = math.sqrt(-s)
             name = "tanh" if self.family == "Tanh" else "coth"
-            return -r * self._gfn(name, r * xi)
+            return -r * generalized_fn(name, self.alpha, r * xi)
         if self.family in TRIG_FAMILIES:
             r = math.sqrt(s)
             if self.family == "Tan":
-                return r * self._gfn("tan", r * xi)
-            return -r * self._gfn("cot", r * xi)
+                return r * generalized_fn("tan", self.alpha, r * xi)
+            return -r * generalized_fn("cot", self.alpha, r * xi)
         den = xi ** self.alpha + self.omega
         if abs(den) < 1e-13:
             raise PoleAt(xi)
         return -math.gamma(1.0 + self.alpha) / den
-
-    def _gfn(self, name: str, x: float) -> float:
-        return generalized_fn(name, self.alpha, x, MLSeriesSpec(self.alpha))
 
     def u_of_xi(self, xi: float) -> float:
         p = self.phi(xi)
@@ -180,15 +175,13 @@ def _admitted_families(sigma) -> tuple:
 
 def construct_solutions(b, profile: SubEquationProfile, param_values: dict,
                         frame: WaveFrame, *, alpha: float = 1.0,
-                        sigma=-1, omega: float = 0.0,
-                        free_values: dict = None) -> list:
+                        sigma=-1, omega: float = 0.0, a0: float = 0.0) -> list:
     """One ClosedFormSolution per family admitted by sign(sigma), with the
     branch assignments bound at param_values.  Under the Riccati profile
     `sigma` alone binds the symbol sigma; the classical profile fixes
-    sigma = -1.  Unassigned unknowns (free coefficients, e.g. a0) default
-    to 0 unless given in free_values."""
+    sigma = -1.  An unassigned a0 takes the value `a0`; any other
+    unassigned coefficient is 0."""
     vals = {k: _as_fraction(v) for k, v in param_values.items()}
-    free = {k: _as_fraction(v) for k, v in (free_values or {}).items()}
     if profile.mode == "classicalTanh":
         sig = Fraction(-1)
         variant = "classical"
@@ -214,10 +207,7 @@ def construct_solutions(b, profile: SubEquationProfile, param_values: dict,
             violated = True
 
     degree = max(int(u[1:]) for u in coeffs) if coeffs else 0
-    for u in free:
-        if u.startswith("a"):
-            degree = max(degree, int(u[1:]))
-    a = tuple(_as_fraction(coeffs.get(f"a{i}", free.get(f"a{i}", 0)))
+    a = tuple(_as_fraction(coeffs.get(f"a{i}", a0 if i == 0 else 0))
               for i in range(degree + 1))
 
     out = []
@@ -275,6 +265,13 @@ def _grid_points(grid):
     return np.linspace(lo, hi, int(n))
 
 
+def _report(res, grid, excluded, form: str) -> ResidualReport:
+    lo, hi, n = grid
+    return ResidualReport(max(res), sum(res) / len(res),
+                          f"xi in [{lo:g}, {hi:g}], {int(n)} points",
+                          tuple(excluded), form)
+
+
 def _report_from_R(R: Poly, s: ClosedFormSolution, grid, form: str) -> ResidualReport:
     pts = _grid_points(grid)
     uni = R.as_univariate(PHI)
@@ -301,9 +298,7 @@ def _report_from_R(R: Poly, s: ClosedFormSolution, grid, form: str) -> ResidualR
         vals.append(abs(r))
     if not vals:
         raise PoleOnGrid("every grid point fell inside a pole exclusion zone")
-    return ResidualReport(max(vals), sum(vals) / len(vals),
-                          f"xi in [{grid[0]:g}, {grid[1]:g}], {int(grid[2])} points",
-                          tuple(excluded), form)
+    return _report(vals, grid, excluded, form)
 
 
 def residual_pde(s: ClosedFormSolution, p: PdeDefinition,
@@ -317,10 +312,11 @@ def residual_pde(s: ClosedFormSolution, p: PdeDefinition,
     return _report_from_R(R, s, grid, "originalPde")
 
 
-def residual_ode(s: ClosedFormSolution, o: ReducedOde, param_values: dict,
+def residual_ode(s: ClosedFormSolution, o: ReducedOde, *,
                  grid=DEFAULT_GRID) -> ResidualReport:
-    """Residual of the reduced ODE (exact phi-algebra route)."""
-    R = _residual_poly(o.expr, s, {**dict(s.params), **param_values})
+    """Residual of the reduced ODE at the parameters bound in `s` (exact
+    phi-algebra route)."""
+    R = _residual_poly(o.expr, s, dict(s.params))
     return _report_from_R(R, s, grid, "reducedOde")
 
 
@@ -354,19 +350,18 @@ def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
     return nodes, levels
 
 
-def residual_fractional(s: ClosedFormSolution, o: ReducedOde,
-                        param_values: dict,
+def residual_fractional(s: ClosedFormSolution, o: ReducedOde, *,
                         grid=FRACTIONAL_GRID) -> ResidualReport:
-    """Measured residual of the fractional reduced ODE on xi > 0.  At
-    alpha = 1 this degenerates to the exact classical route; for alpha < 1
-    it is a report, not a pass/fail check."""
+    """Measured residual of the fractional reduced ODE on xi > 0, at the
+    parameters bound in `s`.  At alpha = 1 this degenerates to the exact
+    classical route; for alpha < 1 it is a report, not a pass/fail check."""
     if s.alpha == 1.0:
-        return residual_ode(s, o, param_values, grid)
+        return residual_ode(s, o, grid=grid)
     lo, hi, n = grid
     if lo <= 0:
         raise ValueError("fractional grid must have xi > 0")
     X = 1.25 * hi
-    vals = {k: float(v) for k, v in param_values.items()}
+    vals = {k: float(v) for k, v in s.params}
     # per term in print order: coefficient times parameters, then the
     # (derivative level, power) of each factor
     terms = []
@@ -387,9 +382,7 @@ def residual_fractional(s: ClosedFormSolution, o: ReducedOde,
                 c *= at[j] ** e
             total += c
         res.append(abs(total))
-    return ResidualReport(max(res), sum(res) / len(res),
-                          f"xi in [{lo:g}, {hi:g}], {int(n)} points",
-                          (), "reducedOde")
+    return _report(res, grid, (), "reducedOde")
 
 
 def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport:
@@ -401,8 +394,7 @@ def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport
     if s.pole_distance(0.0) == 0:
         raise FamilyMismatch(f"{s.family} family has a pole at xi = 0, where "
                              "the Jumarie derivative samples phi")
-    lo, hi, n = grid
-    X = 1.25 * hi
+    X = 1.25 * grid[1]
     sig = float(s.sigma)
 
     def phi(t):
@@ -414,9 +406,7 @@ def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport
     d = jumarie_quadrature(phi, s.alpha, pts, X=X, max_refine=0, n0=512)
     res = [abs(dv - (sig + p * p))
            for dv, p in zip(d.tolist(), map(s.phi, pts.tolist()))]
-    return ResidualReport(max(res), sum(res) / len(res),
-                          f"xi in [{lo:g}, {hi:g}], {int(n)} points",
-                          (), "fractionalRiccati")
+    return _report(res, grid, (), "fractionalRiccati")
 
 
 def alpha_limit_check(sol_classical: ClosedFormSolution,

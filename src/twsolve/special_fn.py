@@ -156,8 +156,7 @@ def mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
 GENERALIZED_FN_NAMES = ("sinh", "cosh", "tanh", "coth", "sin", "cos", "tan", "cot")
 
 
-def generalized_fn(name: str, alpha: float, x: float,
-                   spec: MLSeriesSpec = None) -> float:
+def generalized_fn(name: str, alpha: float, x: float) -> float:
     """Generalized hyperbolic/trig functions: cosh_alpha(x) = E_2alpha(x^2alpha),
     sinh_alpha(x) = E_alpha(x^alpha) - cosh_alpha(x), and the trig family from
     E_alpha(+/- i x^alpha), reducing to the classical functions at alpha = 1.
@@ -166,7 +165,7 @@ def generalized_fn(name: str, alpha: float, x: float,
         raise ValueError(f"unknown generalized function {name!r}")
     if x < 0:
         raise ValueError("generalized functions take x >= 0")
-    spec = spec or MLSeriesSpec(alpha)
+    spec = MLSeriesSpec(alpha)
     xa = x ** alpha
     if name in ("sinh", "cosh", "tanh", "coth"):
         # cosh_a(x) = E_2a(x^2a) holds the even terms of E_a(x^a), so both

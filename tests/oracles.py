@@ -1,7 +1,8 @@
-"""Independent references for the test suite: a numeric root finder for
-coefficient systems, the Jumarie quadrature as a scalar loop, and the
-Mittag-Leffler series with its fallback on mpmath's number objects.  None
-is part of twsolve; each checks one of its exact, vectorised or raw paths."""
+"""Independent references for the test suite: a numeric root finder and a
+sympy solver for coefficient systems, the Jumarie quadrature as a scalar
+loop, and the Mittag-Leffler series with its fallback on mpmath's number
+objects.  None is part of twsolve; each checks one of its exact, vectorised
+or raw paths."""
 from __future__ import annotations
 
 import math
@@ -9,8 +10,10 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import sympy
 
 from twsolve import CoefficientSystem, NonConvergence
+from twsolve.rational_poly import RationalFn
 from twsolve.special_fn import (
     _FALLBACK_DIGITS, _ML_TERM_TOL, DomainGuardExceeded, MLSeriesSpec,
     _gamma_1p, _ml_float,
@@ -88,6 +91,30 @@ def solve_numeric(s: CoefficientSystem, param_values: dict, seeds: int = 64,
         raise NoRootFound(f"no root after {seeds} seeds")
     roots.sort(key=lambda x: tuple(np.round(x, 8)))
     return [{v: float(x[i]) for i, v in enumerate(variables)} for x in roots]
+
+
+def to_sympy(value, symbols: dict):
+    """A Poly or RationalFn as a sympy expression; `symbols` maps each name
+    to its sympy Symbol."""
+    if isinstance(value, RationalFn):
+        return to_sympy(value.num, symbols) / to_sympy(value.den, symbols)
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(symbols[s] ** e for s, e in mono))
+                       for mono, c in value.terms.items()))
+
+
+def sympy_solutions(s: CoefficientSystem, speed: str):
+    """sympy.solve on the coefficient rows for the unknowns and the wave
+    speed together, as Baldwin, Goktas, Hereman et al. (J. Symb. Comput. 37
+    (2004) 669) solve for the a_i and c.  The other parameters are positive
+    symbols, so that sqrt(k**8) simplifies to k**4.  Returns the symbol
+    table and the solutions as dicts Symbol -> expression."""
+    solved = (*s.unknowns, speed)
+    symbols = {name: sympy.Symbol(name) if name in solved
+               else sympy.Symbol(name, positive=True)
+               for name in (*s.unknowns, *s.parameters)}
+    rows = [to_sympy(row, symbols) for _, row in s.equations]
+    return symbols, sympy.solve(rows, [symbols[n] for n in solved], dict=True)
 
 
 def scalar_quadrature(f, alpha, x, X, max_refine=9, n0=64):

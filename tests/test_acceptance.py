@@ -106,7 +106,7 @@ def test_criterion_4_boussinesq():
                float(s.coefficients[0]) == pytest.approx(2.0, abs=1e-12))
     rep = residual_pde(s, d.definition)
     s5 = tanh_sol(d, {"k": 1, "c": 1})
-    rep5 = residual_ode(s5, d.ode, {"k": 1, "c": 1})
+    rep5 = residual_ode(s5, d.ode)
     report(4, a2_ok and den_ok and phys_ok and rep.max_abs < 1e-10 and
            rep5.max_abs >= 0.1,
            f"a2=-2k^2; a0 denominator 6k^2; physical branch a0=2k^2, "
@@ -196,12 +196,12 @@ def test_criterion_8_fractional_residual_measurement():
         for alpha in (0.5, 0.8):
             pv = pv_of(alpha)
             s = tanh_sol(d, pv, alpha=alpha, sigma=-1)
-            rep = residual_fractional(s, d.ode, pv)
+            rep = residual_fractional(s, d.ode)
             ok &= math.isfinite(rep.max_abs)
             finite.append(rep.max_abs)
         pv1 = pv_of(1.0)
         s1 = tanh_sol(d, pv1, alpha=1.0, sigma=-1)
-        rep1 = residual_fractional(s1, d.ode, pv1)
+        rep1 = residual_fractional(s1, d.ode)
         ok &= rep1.max_abs < 1e-8
     report(8, ok,
            f"all three fractional case studies emit finite reports at "

@@ -1,16 +1,17 @@
 """Coefficient-system extraction and triangular branch enumeration, with a
-numeric root finder as an independent oracle."""
+numeric root finder and sympy's solver as independent oracles."""
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from twsolve import CoefficientSystem, extract_system, solve_triangular
 from twsolve.algebra_system import _subs_assignment
 from twsolve.phi_calculus import PhiPolynomial
 from twsolve.rational_poly import Poly
 
-from oracles import NoRootFound, solve_numeric
+from oracles import NoRootFound, solve_numeric, sympy_solutions, to_sympy
 from conftest import (
     BSQ_DSL, BSQ_FRAC_DSL, KP_DSL, KP_FRAC_DSL, SWW_DSL, SWW_FRAC_DSL, TOY_DSL,
     run_pipeline,
@@ -129,20 +130,34 @@ def test_constraint_that_is_a_denominator_power_kills_branch():
     assert solve_triangular(system) == []
 
 
-@pytest.mark.parametrize("fixture", ["toy", "sww", "kp", "bsq"])
-def test_exhaustive_oracle_contains_default(fixture, request):
-    """Brute-force oracle: exploring every admissible factoring order must
-    rediscover every branch of the highest-row-first policy (other orderings
-    may phrase the same solution set with composite constraints)."""
+def _holds(branch, solution, symbols):
+    """The branch's assignments equal the solution's values and its
+    constraints vanish there."""
+    def zero(expr):
+        return sympy.simplify(expr.subs(solution)) == 0
+    return all(zero(to_sympy(v, symbols) - symbols[u])
+               for u, v in branch.assignments.items()) and \
+        all(zero(to_sympy(c, symbols)) for c in branch.constraints)
+
+
+@pytest.mark.parametrize("fixture", ["toy", "sww", "kp", "bsq",
+                                     "sww_frac", "kp_frac", "bsq_frac"])
+def test_branches_match_sympy_solutions(fixture, request):
+    """Algebraic oracle, both ways: every branch holds at some nontrivial
+    solution that sympy finds for the unknowns and the wave speed together,
+    and every such solution satisfies some branch (kp and bsq have 2 and 4
+    solutions, each on their one branch)."""
     d = request.getfixturevalue(fixture)
-    default = solve_triangular(d.system)
-    exhaustive = solve_triangular(d.system, exhaustive=True)
-
-    def key(b):
-        return (tuple(sorted((u, str(v)) for u, v in b.assignments.items())),
-                tuple(sorted(str(c) for c in b.constraints)))
-
-    assert {key(b) for b in default} <= {key(b) for b in exhaustive}
+    symbols, solutions = sympy_solutions(
+        d.system, "c_a" if d.definition.fractional else "c")
+    higher = [symbols[u] for u in d.system.unknowns if u != "a0"]
+    nontrivial = [sol for sol in solutions
+                  if any(sympy.simplify(a.subs(sol)) != 0 for a in higher)]
+    assert d.branches and nontrivial
+    for b in d.branches:
+        assert any(_holds(b, sol, symbols) for sol in nontrivial), b.to_json()
+    for sol in nontrivial:
+        assert any(_holds(b, sol, symbols) for b in d.branches), sol
 
 
 @pytest.mark.parametrize("fixture", ["kp", "bsq"])

@@ -129,27 +129,49 @@ def test_fractional_verify_samples_each_integrand_once(capsys, monkeypatch):
     assert calls == {"quadrature": 2, "integrand": 2}
 
 
-def test_fractional_commands_run_under_the_benchmark_tracer(capsys):
+TRACED_COMMANDS = (
+    *((command, key, "--method", "subeq", "--alpha", "0.6", "--sigma", sigma)
+      for command in ("verify", "solve") for key in ("kp", "sww")
+      for sigma in ("-1", "1")),
+    *(("figure", n, "--alphas", "0.7", "--xgrid=-1:1:5", "--tgrid", "0:0.1:2",
+       "--out", "fig.csv") for n in ("2", "4", "6")),
+    ("solve", "pde kdv vars(x,t) params() : u_t + u*u_x + u_xxx = 0",
+     "--params", "k=1/2,c=-3/4"),
+    ("tabulate", "tan", "--alpha", "0.6"),
+)
+
+
+def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
+                                                            monkeypatch):
     """The benchmark's traced run wraps mittag_leffler (hashing its spec and
     z), ClosedFormSolution.phi (hashing xi) and jumarie_quadrature (wrapping
-    its first positional argument); every call of the fractional commands
-    must pass through those wrappers unharmed."""
+    its first positional argument); every call of the fractional, figure,
+    symbolic and tabulate commands must pass through those wrappers
+    unharmed, with output bytes equal to an untraced run."""
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    monkeypatch.chdir(tmp_path)
+
+    def run_all():
+        outs = []
+        for argv in TRACED_COMMANDS:
+            _, out = run_cli(capsys, *argv)
+            assert not out.startswith('{"error"'), (argv, out)
+            csv = tmp_path / "fig_alpha0.7.csv"
+            outs.append((out, csv.read_bytes() if argv[0] == "figure" else None))
+            csv.unlink(missing_ok=True)
+        return outs
+
+    untraced = run_all()
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for command in ("verify", "solve"):
-            for key in ("kp", "sww"):
-                for sigma in ("-1", "1"):
-                    cli.main([command, key, "--method", "subeq",
-                              "--alpha", "0.6", "--sigma", sigma])
-                    out = capsys.readouterr().out
-                    assert "error" not in json.loads(out), (command, key, sigma)
+        traced = run_all()
     finally:
         tracer.uninstall()
+    assert traced == untraced
     assert not +tracer.errors
     quadratures = tracer.calls["special_fn.jumarie_quadrature"]
     assert quadratures > 0
@@ -170,6 +192,8 @@ def test_fractional_commands_run_under_the_benchmark_tracer(capsys):
     ("figure", "1", "--xgrid", "0:inf:2"),
     ("verify", TOY_FRAC, "--params", "k=1,c=2"),
     ("verify", TOY, "--method", "subeq", "--params", "k=1,c=2"),
+    ("verify", TOY, "--method", "subeq", "--sigma", "1", "--alpha", "0.6",
+     "--params", "k=1,c=2"),
     ("verify", TOY, "--params", "k=1"),
     ("solve", TOY, "--params", "k=1,c=2,kk=5"),
     ("solve", "sww", "--grid", "a:b:3"),

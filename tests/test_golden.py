@@ -105,6 +105,8 @@ CASES = {
     "error_branch": ["verify", "sww", "--branch", "3"],
     "error_verify_no_params": ["verify", TOY],
     "error_subeq_integer": ["solve", TOY, "--method", "subeq"],
+    "error_alpha_integer": ["verify", TOY, "--method", "subeq", "--sigma", "1",
+                            "--alpha", "0.6", "--params", "k=1,c=2"],
     "error_verify_tanh_fractional": ["verify", TOY_FRAC, "--params", "k=1,c=2"],
     "error_syntax": ["solve", "pde bad vars(x,t) params() : u_x = = u"],
     "error_degree_zero": ["solve", TOY, "--degree", "0"],

@@ -135,8 +135,10 @@ def test_bsq_negative_test_constant_residual(bsq):
     """Figure-5 parameters violate the dispersion relation: the residual of
     the twice-integrated ODE is the nonzero constant left in the phi^0 row."""
     s, _ = tanh_solution(bsq, {"k": 1, "c": 1})
-    rep = residual_ode(s, bsq.ode, {"k": 1, "c": 1})
+    rep = residual_ode(s, bsq.ode)
     assert rep.max_abs >= 0.1
+    with pytest.raises(TypeError):      # the parameters come from s alone
+        residual_ode(s, bsq.ode, {"k": 1, "c": 1})
     assert rep.max_abs == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert rep.min_equals_max if hasattr(rep, "min_equals_max") else True
     assert rep.mean_abs == pytest.approx(rep.max_abs, abs=1e-12)
@@ -180,7 +182,7 @@ def test_fractional_residual_alpha1_matches_classical(bsq):
     frac = run_pipeline(BSQ_FRAC_DSL, integrate=2)
     params = {"k_a": 1.0, "c_a": BSQ_C}
     s, _ = tanh_solution(frac, params, alpha=1.0, sigma=-1)
-    rep = residual_fractional(s, frac.ode, params)
+    rep = residual_fractional(s, frac.ode)
     assert rep.max_abs < 1e-8
 
 
@@ -189,7 +191,7 @@ def test_fractional_residual_is_finite_measurement(alpha):
     frac = run_pipeline(BSQ_FRAC_DSL, integrate=2)
     params = {"k_a": 1.0, "c_a": BSQ_C ** alpha}
     s, _ = tanh_solution(frac, params, alpha=alpha, sigma=-1)
-    rep = residual_fractional(s, frac.ode, params)
+    rep = residual_fractional(s, frac.ode)
     assert math.isfinite(rep.max_abs)
     assert rep.equation_form == "reducedOde"
 
