@@ -381,6 +381,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_tabulate(args) -> int:
+    if not 0 < args.alpha < math.inf:
+        raise CliError(f"--alpha must be finite and positive, got {args.alpha:g}")
     spec = MLSeriesSpec(args.alpha)
     lines = ["x,value"]
     for x in _axis(_parse_grid(args.grid, (0.0, 5.0, 51))):

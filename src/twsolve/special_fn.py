@@ -6,7 +6,6 @@ weakly-singular product-integration quadrature.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -111,6 +110,13 @@ def _ml_float(spec: MLSeriesSpec, z):
     return None
 
 
+def _top(z):
+    """e with 2^(e-1) <= |z| < 2^(e+1) for a raw libmp complex of finite
+    parts (the larger exp + bc of its nonzero parts), -inf for zero."""
+    (_, m1, e1, b1), (_, m2, e2, b2) = z
+    return max(e1 + b1 if m1 else -math.inf, e2 + b2 if m2 else -math.inf)
+
+
 def mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
     """E_alpha(z) = sum_k z^k / Gamma(1 + k*alpha), by direct series: in
     float when its rounding error is certified small, otherwise with
@@ -138,7 +144,15 @@ def mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
             power = libmp.mpc_mul(power, zz, prec, rnd)
             term = libmp.mpc_div_mpf(power, _gamma_1p(spec.alpha, k)._mpf_, prec, rnd)
             total = libmp.mpc_add(total, term, prec, rnd)
-            # |term| < _ML_TERM_TOL * max(|total|, 1e-30)
+            # |term| < _ML_TERM_TOL*max(|total|, 1e-30), 2^-54 < _ML_TERM_TOL <
+            # 2^-53: if lm >= -97, lt <= lm-56 gives |term| < 2^(lm-55) < the
+            # bound and lt >= lm-50 gives |term| >= 2^(lm-51) > it; else hypot
+            lt, lm = _top(term), _top(total)
+            if lm >= -97:
+                if lt <= lm - 56:
+                    break
+                if lt >= lm - 50:
+                    continue
             size = libmp.mpc_abs(total, prec, rnd)
             bound = (tiny_bound if libmp.mpf_lt(size, tiny)
                      else libmp.mpf_mul(size, tol, prec, rnd))
@@ -215,15 +229,7 @@ def jumarie_power_rule(alpha: float, t: PowerLawTerm, x: float) -> float:
     return t.coefficient * math.gamma(1 + t.gamma) / math.gamma(arg) * x ** (t.gamma - alpha)
 
 
-_BLOCK_ROWS = 16             # kernel rows are weighed and applied this many at a time
-
-
-def _libm_pow(d, e: float):
-    """d ** e elementwise for d >= 0 through libm's pow, as Python's float
-    `**` computes it: numpy's SIMD `**` may differ in the last bit, which
-    the outer difference quotient magnifies."""
-    return np.fromiter(map(math.pow, d.ravel().tolist(), itertools.repeat(e)),
-                       float, d.size).reshape(d.shape)
+_BLOCK_ROWS = 16             # kernel rows are applied this many at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +237,9 @@ class JumarieMesh:
     """The product-integration mesh of one single-shot quadrature: for the
     four difference offsets y of every point, the nodes s of n cells graded
     toward the singular endpoint s = y, and the exact kernel weights w1, w2
-    of each cell.  The weights depend on alpha, the points, X and n but not
-    on the integrand, so one mesh serves any number of integrands."""
+    of each cell, each row one unit row scaled by its y.  The weights depend
+    on alpha, the points, X and n but not on the integrand, so one mesh
+    serves any number of integrands."""
     alpha: float
     x: np.ndarray           # the points, 1-D
     X: object               # the X the points were checked against
@@ -247,25 +254,24 @@ class JumarieMesh:
 def _build_mesh(alpha: float, xs, X, n: int, h) -> JumarieMesh:
     """Nodes and weights of int_0^y (y-s)^(-alpha) (f(s)-f(0)) ds for
     f piecewise linear on the graded nodes, at y in {x+h, x-h, x+h/2,
-    x-h/2}.  The grading exponent is capped so adjacent nodes stay distinct
-    in double precision.  The weights are built in blocks of _BLOCK_ROWS
-    rows, so the temporaries stay small."""
+    x-h/2}.  Node i is y*(1 - c_i), c_i = ((n-i)/n)^g, so y - s_i = y*c_i
+    and cell i weighs y^(1-alpha)*A_i and y^(2-alpha)*B_i, A and B the
+    unit row's exact cell integrals.  g <= 4 and c_(n-1) >= 2^-52 keep the
+    rounded nodes distinct and below y, so no cell drops out of the kernel.
+    Every power is libm's pow on a Python float: numpy's SIMD `**` may
+    differ in the last bit, which the outer difference quotient magnifies."""
     ys = np.concatenate((xs + h, xs - h, xs + h / 2, xs - h / 2))
-    g = min(2.0 / (1.0 - alpha), 4.0)
-    y = ys[:, None]
-    s = y * np.array([1.0 - ((n - i) / n) ** g for i in range(n + 1)])
+    g = min(2.0 / (1.0 - alpha), 4.0, 52.0 / math.log2(max(n, 2)))
     oma, tma = 1.0 - alpha, 2.0 - alpha
-    w1 = np.empty((len(ys), n))
-    w2 = np.empty_like(w1)
-    for lo in range(0, len(ys), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        d = y[rows] - s[rows]
-        p = _libm_pow(d, oma)
-        q = _libm_pow(d, tma)
-        w1[rows] = (p[:, :-1] - p[:, 1:]) / oma
-        w2[rows] = d[:, :-1] * w1[rows] - (q[:, :-1] - q[:, 1:]) / tma
+    c = [((n - i) / n) ** g for i in range(n + 1)]
+    p, q = [ci ** oma for ci in c], [ci ** tma for ci in c]
+    A = [(p[i] - p[i + 1]) / oma for i in range(n)]
+    B = [c[i] * A[i] - (q[i] - q[i + 1]) / tma for i in range(n)]
+    s = ys[:, None] * np.array([1.0 - ci for ci in c])
+    w1 = np.array([v ** oma for v in ys.tolist()])[:, None] * np.array(A)
+    w2 = np.array([v ** tma for v in ys.tolist()])[:, None] * np.array(B)
     # cells from the first one that starts at y on, and empty cells, add 0
-    live = np.logical_and.accumulate(s[:, :-1] < y, axis=1) & (np.diff(s) != 0.0)
+    live = np.logical_and.accumulate(s[:, :-1] < ys[:, None], axis=1) & (np.diff(s) != 0.0)
     return JumarieMesh(alpha, xs, X, n, h, s, w1, w2, live)
 
 

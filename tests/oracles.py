@@ -121,28 +121,26 @@ def scalar_quadrature(f, alpha, x, X, max_refine=9, n0=64):
     """The quadrature as a scalar loop over nodes and cells, one float
     operation at a time: the reference that the vectorised cells must
     reproduce bit for bit."""
-    oma = 1.0 - alpha
-    g = min(2.0 / (1.0 - alpha), 4.0)
+    oma, tma = 1.0 - alpha, 2.0 - alpha
 
     def inner(y, n):
-        nodes = [y * (1.0 - ((n - i) / n) ** g) for i in range(n + 1)]
+        g = min(2.0 / (1.0 - alpha), 4.0, 52.0 / math.log2(max(n, 2)))
+        # node i is y*(1 - c_i), so y - s = y*c_i on the cell's ends
+        c = [((n - i) / n) ** g for i in range(n + 1)]
+        nodes = [y * (1.0 - ci) for ci in c]
         fx = [f(s) for s in nodes]
+        yp, yq = y ** oma, y ** tma
         total = 0.0
         for i in range(n):
-            a, b = nodes[i], min(nodes[i + 1], y)
-            if a >= y:
+            if nodes[i] >= y:
                 break
             h = nodes[i + 1] - nodes[i]
             if h == 0.0:
                 continue
             slope = (fx[i + 1] - fx[i]) / h
-            pa = (y - a) ** oma
-            pb = (y - b) ** oma if y > b else 0.0
-            w1 = (pa - pb) / oma
-            qa = (y - a) ** (2 - alpha)
-            qb = (y - b) ** (2 - alpha) if y > b else 0.0
-            w2 = (y - a) * w1 - (qa - qb) / (2 - alpha)
-            total += (fx[i] - fx[0]) * w1 + slope * w2
+            a1 = (c[i] ** oma - c[i + 1] ** oma) / oma
+            b1 = c[i] * a1 - (c[i] ** tma - c[i + 1] ** tma) / tma
+            total += (fx[i] - fx[0]) * (yp * a1) + slope * (yq * b1)
         return total
 
     def estimate(n, h):

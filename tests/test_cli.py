@@ -212,6 +212,9 @@ def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
      "--grid=-1:1:3"),
     ("figure", "2", "--alphas", "abc"),
     ("figure", "1", "--alphas", "0.5"),
+    ("tabulate", "ml", "--alpha", "0"),
+    ("tabulate", "tan", "--alpha", "-1"),
+    ("tabulate", "ml", "--alpha", "nan"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     def no_stage(*args, **kwargs):

@@ -135,14 +135,23 @@ FALLBACK_ZS = ([1j * t for t in (1.5, 2.5, 4.0, 5.0, 6.5)] + [-3j]
                + [-1.5, -3, -4.5, -6.5]
                + [complex(-2.0, 1.0), complex(1.5, 3.0), complex(-4.0, -2.5)])
 
+# a dense sweep of the same three: i*x^alpha at the nodes of the fractional
+# residual (X = 5), the negative reals in [-7, 0) and the complex plane
+SWEEP_ZS = ([-7.0 + 7.0 * k / 50 for k in range(50)]
+            + [complex(re, im) for re, im in
+               zip(*np.random.default_rng(0).uniform((-5, -4), (3, 4), (50, 2)).T)])
+
 
 @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.7, 0.8, 0.9])
 def test_ml_fallback_is_the_operator_loop(alpha):
-    """The fallback on raw libmp parts returns what the same series on
-    mpf/mpc objects returns, bit for bit and of the same type."""
+    """The fallback on raw libmp parts, which decides most stopping tests
+    from binary exponents, returns what the same series on mpf/mpc objects
+    returns, bit for bit and of the same type."""
     spec = MLSeriesSpec(alpha)
-    for z in FALLBACK_ZS:
-        assert _ml_float(spec, z) is None, z
+    assert all(_ml_float(spec, z) is None for z in FALLBACK_ZS)
+    sweep = [1j * float(x) ** alpha for x in np.linspace(0.05, 5.0, 97)] + SWEEP_ZS
+    assert sum(_ml_float(spec, z) is None for z in sweep) > len(sweep) // 2
+    for z in FALLBACK_ZS + sweep:
         got, want = mittag_leffler(spec, z), operator_mittag_leffler(spec, z)
         assert type(got) is type(want), z
         assert got == want, z
@@ -309,6 +318,16 @@ def test_quadrature_agrees_with_power_rule(alpha, gamma, x):
     assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("alpha,gamma,x", [(0.6, 0.35, 1.0), (0.9, 0.15, 1.0),
+                                            (0.9, 0.35, 0.3)])
+def test_quadrature_converges_on_the_finest_levels(alpha, gamma, x):
+    """These refinements stop at n = 16384 or 32768, where a grading capped
+    only at g = 4 put the last nodes on y and the refinement never agreed."""
+    want = jumarie_power_rule(alpha, PowerLawTerm(gamma), x)
+    got = jumarie_quadrature(lambda s: s ** gamma, alpha, x)
+    assert abs(got - want) < 1e-6 * max(1.0, abs(want))
+
+
 def test_quadrature_linearity():
     alpha, x = 0.6, 1.2
     f = lambda s: s ** 1.5
@@ -373,6 +392,44 @@ def test_quadrature_mesh_serves_every_integrand(alpha):
                                  mesh=mesh)
         want = jumarie_quadrature(f, alpha, xs, X=5.0, max_refine=0, n0=256)
         assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.9])
+def test_mesh_weights_match_exact_cell_integrals(alpha):
+    """w1 and w2 of every cell are int (y-s)^(-alpha) ds and int
+    (y-s)^(-alpha) (s-a) ds over the exact graded cell [a, b] =
+    [y(1-c_i), y(1-c_{i+1})], c_i = ((n-i)/n)^g, here at 40 digits, for the
+    rows of points near y = 0.13, 1.7 and 4.6."""
+    mesh = jumarie_mesh(alpha, np.array([0.13, 1.7, 4.6]), X=5.0, n0=256)
+    n, g = mesh.n, min(2.0 / (1.0 - alpha), 4.0)     # 52/log2(256) > 4
+    assert mesh.live.all()
+    err1 = err2 = 0.0
+    with mpmath.workdps(REF_DIGITS):
+        oma, tma = 1 - mpmath.mpf(alpha), 2 - mpmath.mpf(alpha)
+        c = [(mpmath.mpf(n - i) / n) ** g for i in range(n + 1)]
+        for row, w1, w2 in zip(mesh.s, mesh.w1, mesh.w2):
+            y = mpmath.mpf(row[-1])
+            for i in range(n):
+                da, db = y * c[i], y * c[i + 1]         # y - a, y - b
+                want1 = (da ** oma - db ** oma) / oma
+                want2 = da * want1 - (da ** tma - db ** tma) / tma
+                err1 = max(err1, abs(w1[i] / want1 - 1))
+                err2 = max(err2, abs(w2[i] / want2 - 1))
+    assert err1 <= 1e-13
+    assert err2 <= 2e-11
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+@pytest.mark.parametrize("n0", [16384, 32768])
+def test_fine_mesh_rows_keep_the_whole_kernel(alpha, n0):
+    """At the finest levels of the default refinement, where ((n-i)/n)^4
+    would put the last nodes on y, every cell stays live and each row's w1
+    sums to int_0^y (y-s)^(-alpha) ds = y^(1-alpha)/(1-alpha)."""
+    mesh = jumarie_mesh(alpha, np.array([0.13, 1.7, 4.6]), X=5.0, n0=n0)
+    assert mesh.live.all()
+    y = mesh.s[:, -1]
+    np.testing.assert_allclose(mesh.w1.sum(axis=1), y ** (1 - alpha) / (1 - alpha),
+                               rtol=1e-13, atol=0)
 
 
 def test_quadrature_rejects_a_mesh_of_other_points():
