@@ -11,7 +11,7 @@ from .pde_ast import (
     parse_pde, print_pde,
 )
 from .travelling_wave import (
-    FrameError, NotExactDerivative, ReducedOde, WaveFrame, integrate_decay,
+    FrameError, NotExactDerivative, ReducedOde, frame_symbol, integrate_decay,
     reduce,
 )
 from .phi_calculus import (

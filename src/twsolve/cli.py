@@ -144,8 +144,16 @@ def _exact_axis(text, grid):
     return lo, (hi - lo) / max(grid[2] - 1, 1)
 
 
+def _check_finite(args, *flags):
+    for flag in flags:
+        v = getattr(args, flag)
+        if v is not None and not math.isfinite(v):
+            raise CliError(f"--{flag} must be finite, got {v:g}")
+
+
 def _check_flags(args):
     """Reject solve/verify flag values that no stage can use."""
+    _check_finite(args, "sigma", "omega", "a0")
     if not 0 < args.alpha <= 1:
         raise CliError(f"--alpha must lie in (0, 1], got {args.alpha:g}")
     if args.method == "tanh" and (args.alpha != 1 or args.sigma is not None):
@@ -243,7 +251,7 @@ def _residual(r, s, grid_text, form="originalPde"):
 
 
 def _ode_str(o):
-    return expr_to_str(o.expr, (XI,), o.frame.fractional)
+    return expr_to_str(o.expr, (XI,))
 
 
 def cmd_solve(args) -> int:
@@ -320,6 +328,7 @@ def cmd_verify(args) -> int:
 def cmd_figure(args) -> int:
     if args.n not in FIGURES:
         raise CliError("figure number must be 1..6")
+    _check_finite(args, "sigma", "a0")
     if not args.sigma < 0:
         raise CliError("--sigma must be negative: the figures plot the Tanh "
                        "family")

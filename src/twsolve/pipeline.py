@@ -14,8 +14,7 @@ from .phi_calculus import (
 )
 from .solution_verify import construct_solutions
 from .travelling_wave import (
-    FRAME_SYMBOLS, FRAME_SYMBOLS_FRACTIONAL, ReducedOde, WaveFrame,
-    integrate_decay, reduce,
+    FRAME_SYMBOLS, FRAME_SYMBOLS_FRACTIONAL, ReducedOde, integrate_decay, reduce,
 )
 
 # base frame coefficient -> its alpha-power atom (k -> k_a, ...)
@@ -38,16 +37,12 @@ class Result:
         """Closed-form families of `branch` with `params` bound.  For a
         fractional definition the base values k, m, c are raised to alpha
         and bound to the frame atoms k_a, m_a, c_a."""
-        fractional = self.definition.fractional
-        if fractional:
+        if self.definition.fractional:
             params = {**{POWERED[k]: float(v) ** alpha for k, v in params.items()
                          if k in POWERED},
                       **{k: v for k, v in params.items() if k not in POWERED}}
-        symbols = FRAME_SYMBOLS_FRACTIONAL if fractional else FRAME_SYMBOLS
-        frame = WaveFrame(self.definition.variables, fractional,
-                          {s: params[s] for s in symbols.values() if s in params})
-        return construct_solutions(branch, self.profile, params, frame,
-                                   alpha=alpha, sigma=sigma, omega=omega, a0=a0)
+        return construct_solutions(branch, self.profile, params, alpha=alpha,
+                                   sigma=sigma, omega=omega, a0=a0)
 
 
 def run(definition: PdeDefinition, profile: SubEquationProfile = None,
@@ -58,8 +53,7 @@ def run(definition: PdeDefinition, profile: SubEquationProfile = None,
     if profile is None:
         profile = (SubEquationProfile.riccati() if definition.fractional
                    else SubEquationProfile.classical_tanh())
-    reduced = reduce(definition, WaveFrame(definition.variables,
-                                           definition.fractional, {}))
+    reduced = reduce(definition)
     ode = integrate_decay(reduced, integrate) if integrate else reduced
     if degree is None:
         degree = balance_degree(ode)

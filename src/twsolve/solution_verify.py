@@ -20,7 +20,9 @@ import numpy as np
 from .pde_ast import PdeDefinition, jet_multi, jet_order, term_key
 from .phi_calculus import PHI, SIGMA, SubEquationProfile
 from .rational_poly import Poly
-from .travelling_wave import ReducedOde, WaveFrame
+from .travelling_wave import (
+    FRAME_SYMBOLS, FRAME_SYMBOLS_FRACTIONAL, ReducedOde, frame_symbol,
+)
 from .special_fn import PoleAt, generalized_fn, jumarie_mesh, jumarie_quadrature
 
 CONSTRAINT_TOL = 1e-12
@@ -29,6 +31,7 @@ DEFAULT_GRID = (-5.0, 5.0, 1001)
 
 HYPERBOLIC_FAMILIES = ("Tanh", "Coth")
 TRIG_FAMILIES = ("Tan", "Cot")
+FRAME_ATOMS = {*FRAME_SYMBOLS.values(), *FRAME_SYMBOLS_FRACTIONAL.values()}
 
 
 class DenominatorZero(ZeroDivisionError):
@@ -53,14 +56,16 @@ class ClosedFormSolution:
     family: str                     # Tanh | Coth | Tan | Cot | Rational
     variant: str                    # classical | alphaGeneralized
     coefficients: tuple             # a_0..a_n as Fraction (exact where possible)
-    frame: WaveFrame
     sigma: Fraction = Fraction(-1)
     omega: float = 0.0
     alpha: float = 1.0
-    constraint_violated: bool = False
     constraint_values: tuple = ()
     xi_shift: float = 0.0
     params: tuple = ()              # bound (symbol, value) pairs, sorted
+
+    @property
+    def constraint_violated(self) -> bool:
+        return any(abs(v) > CONSTRAINT_TOL for v in self.constraint_values)
 
     def __post_init__(self):
         if self.family in HYPERBOLIC_FAMILIES and not (self.sigma < 0):
@@ -128,7 +133,7 @@ class ClosedFormSolution:
             "family": self.family,
             "variant": self.variant,
             "coefficients": [str(a) for a in self.coefficients],
-            "frame": {k: _num_str(v) for k, v in sorted(self.frame.values.items())},
+            "frame": {k: _num_str(v) for k, v in self.params if k in FRAME_ATOMS},
             "sigma": _num_str(self.sigma),
             "omega": _num_str(self.omega),
             "alpha": _num_str(self.alpha),
@@ -173,23 +178,25 @@ def _admitted_families(sigma) -> tuple:
     return ("Rational",)
 
 
-def construct_solutions(b, profile: SubEquationProfile, param_values: dict,
-                        frame: WaveFrame, *, alpha: float = 1.0,
-                        sigma=-1, omega: float = 0.0, a0: float = 0.0) -> list:
+def construct_solutions(b, profile: SubEquationProfile, param_values: dict, *,
+                        alpha: float = 1.0, sigma=-1, omega: float = 0.0,
+                        a0: float = 0.0) -> list:
     """One ClosedFormSolution per family admitted by sign(sigma), with the
     branch assignments bound at param_values.  Under the Riccati profile
     `sigma` alone binds the symbol sigma; the classical profile fixes
     sigma = -1.  An unassigned a0 takes the value `a0`; any other
-    unassigned coefficient is 0."""
-    vals = {k: _as_fraction(v) for k, v in param_values.items()}
+    unassigned coefficient is 0.  Each solution keeps the values as given
+    in `params`."""
+    params = dict(param_values)
     if profile.mode == "classicalTanh":
         sig = Fraction(-1)
         variant = "classical"
     else:
-        sig = vals[SIGMA] = _as_fraction(sigma)
+        sig = params[SIGMA] = _as_fraction(sigma)
         if not isinstance(profile.r0, str) and profile.r0 != sig:
             raise ValueError(f"sigma = {sig} disagrees with the profile's r0 = {profile.r0}")
         variant = "alphaGeneralized"
+    vals = {k: _as_fraction(v) for k, v in params.items()}
 
     coeffs = {}
     for u, v in b.assignments.items():
@@ -198,13 +205,7 @@ def construct_solutions(b, profile: SubEquationProfile, param_values: dict,
         if den == 0:
             raise DenominatorZero(f"denominator of {u} vanishes at the given parameters")
         coeffs[u] = num / den
-    cvals = []
-    violated = False
-    for c in b.constraints:
-        cv = float(c.eval(vals))
-        cvals.append(cv)
-        if abs(cv) > CONSTRAINT_TOL:
-            violated = True
+    cvals = tuple(float(c.eval(vals)) for c in b.constraints)
 
     degree = max(int(u[1:]) for u in coeffs) if coeffs else 0
     a = tuple(_as_fraction(coeffs.get(f"a{i}", a0 if i == 0 else 0))
@@ -213,10 +214,9 @@ def construct_solutions(b, profile: SubEquationProfile, param_values: dict,
     out = []
     for fam in _admitted_families(sig):
         out.append(ClosedFormSolution(
-            family=fam, variant=variant, coefficients=a, frame=frame,
-            sigma=sig, omega=omega, alpha=alpha,
-            constraint_violated=violated, constraint_values=tuple(cvals),
-            params=tuple(sorted(vals.items()))))
+            family=fam, variant=variant, coefficients=a, sigma=sig,
+            omega=omega, alpha=alpha, constraint_values=cvals,
+            params=tuple(sorted(params.items()))))
     return out
 
 
@@ -306,9 +306,9 @@ def residual_pde(s: ClosedFormSolution, p: PdeDefinition,
     """Pointwise |LHS - RHS| of the original PDE along xi, with derivatives
     taken exactly through the phi-algebra (each coordinate derivative brings
     one frame factor per order)."""
-    fv = {k: _as_fraction(v) for k, v in s.frame.values.items()}
-    fv.update(dict(s.params))
-    R = _residual_poly(p.lhs_minus_rhs, s, fv, lambda var: fv[s.frame.symbol(var)])
+    vals = dict(s.params)
+    R = _residual_poly(p.lhs_minus_rhs, s, vals,
+                       lambda var: vals[frame_symbol(var, p.fractional)])
     return _report_from_R(R, s, grid, "originalPde")
 
 

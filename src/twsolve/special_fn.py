@@ -180,7 +180,10 @@ def generalized_fn(name: str, alpha: float, x: float) -> float:
     if x < 0:
         raise ValueError("generalized functions take x >= 0")
     spec = MLSeriesSpec(alpha)
-    xa = x ** alpha
+    try:
+        xa = x ** alpha
+    except OverflowError:       # beyond every guard: mittag_leffler refuses it
+        xa = math.inf
     if name in ("sinh", "cosh", "tanh", "coth"):
         # cosh_a(x) = E_2a(x^2a) holds the even terms of E_a(x^a), so both
         # series sum positive terms and E_a(-x^a) is never formed

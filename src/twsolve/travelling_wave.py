@@ -8,11 +8,10 @@ atoms k_a, m_a, c_a and orders count alpha units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pde_ast import (
-    PdeDefinition, differentiate, jet, jet_multi, jet_order, jet_variables,
-    term_key,
+    PdeDefinition, differentiate, jet, jet_multi, jet_order, term_key,
 )
 from .rational_poly import Poly, factor_str, mono_mul
 
@@ -31,25 +30,18 @@ class NotExactDerivative(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WaveFrame:
-    """Wave frame xi = k*x + m*y + c*t; values bind the coefficients
-    numerically (required only when evaluating solutions)."""
-    variables: tuple
-    fractional: bool = False
-    values: dict = field(default_factory=dict)
-
-    def symbol(self, var: str) -> str:
-        table = FRAME_SYMBOLS_FRACTIONAL if self.fractional else FRAME_SYMBOLS
-        if var not in table:
-            raise FrameError(f"no frame coefficient for variable {var!r}")
-        return table[var]
+def frame_symbol(var: str, fractional: bool) -> str:
+    """The frame coefficient of `var`: k, m, c, or under the Jumarie
+    derivative the alpha-power atoms k_a, m_a, c_a."""
+    table = FRAME_SYMBOLS_FRACTIONAL if fractional else FRAME_SYMBOLS
+    if var not in table:
+        raise FrameError(f"no frame coefficient for variable {var!r}")
+    return table[var]
 
 
 @dataclass(frozen=True)
 class ReducedOde:
     expr: Poly                    # over xi-jets and parameters
-    frame: WaveFrame
     integration_count: int = 0
     cleared_factor: str = "1"     # overall monomial factor divided out
 
@@ -62,22 +54,17 @@ def _normalize_common(e: Poly):
     return e, factor_str(c, mono)
 
 
-def reduce(p: PdeDefinition, f: WaveFrame) -> ReducedOde:
-    """Reduce `p` to an ODE in xi under the frame `f`; the common monomial
-    factor of the result is cleared and logged."""
-    for v in jet_variables(p.lhs_minus_rhs):
-        if v not in f.variables:
-            raise FrameError(f"frame missing variable {v!r}")
-    if f.fractional != p.fractional:
-        raise FrameError("frame/PDE fractional mode mismatch")
+def reduce(p: PdeDefinition) -> ReducedOde:
+    """Reduce `p` to an ODE in xi under the frame of its variables; the
+    common monomial factor of the result is cleared and logged."""
     # u_{x:i,t:j} -> k^i c^j u_{xi:i+j}
     vals = {}
     for sym in p.lhs_minus_rhs.symbols():
         if jet_multi(sym):
-            frame = [(f.symbol(v), o) for v, o in jet_multi(sym)]
+            frame = [(frame_symbol(v, p.fractional), o) for v, o in jet_multi(sym)]
             vals[sym] = Poly({tuple(sorted(frame + [(jet({XI: jet_order(sym)}), 1)])): 1})
     expr, factor = _normalize_common(p.lhs_minus_rhs.substitute(vals))
-    return ReducedOde(expr, f, 0, factor)
+    return ReducedOde(expr, 0, factor)
 
 
 def _integrate_once(e: Poly) -> Poly:
@@ -115,4 +102,4 @@ def integrate_decay(o: ReducedOde, times: int) -> ReducedOde:
     e = o.expr
     for _ in range(times):
         e = _normalize_common(_integrate_once(e))[0]
-    return ReducedOde(e, o.frame, o.integration_count + times, o.cleared_factor)
+    return ReducedOde(e, o.integration_count + times, o.cleared_factor)

@@ -215,6 +215,12 @@ def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
     ("tabulate", "ml", "--alpha", "0"),
     ("tabulate", "tan", "--alpha", "-1"),
     ("tabulate", "ml", "--alpha", "nan"),
+    ("solve", "sww", "--method", "subeq", "--sigma", "nan", "--params", "k=1"),
+    ("solve", "sww", "--a0", "nan"),
+    ("verify", "sww", "--method", "subeq", "--sigma", "0", "--omega", "nan",
+     "--alpha", "0.8"),
+    ("figure", "2", "--sigma=-inf"),
+    ("figure", "1", "--a0", "inf"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     def no_stage(*args, **kwargs):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from twsolve import (
-    Ansatz, NonIntegerBalance, SubEquationProfile, WaveFrame, balance_degree,
+    Ansatz, NonIntegerBalance, SubEquationProfile, balance_degree,
     parse_pde, reduce,
 )
 from twsolve.phi_calculus import PHI
@@ -76,14 +76,14 @@ def test_balance_degrees(dsl, times, expected):
 
 def test_balance_non_integer_rejected():
     p = parse_pde("pde nb vars(x) params() : u_xxx = u^3")
-    o = reduce(p, WaveFrame(p.variables, False, {}))
+    o = reduce(p)
     with pytest.raises(NonIntegerBalance):
         balance_degree(o)
 
 
 def test_balance_needs_nonlinear_term():
     p = parse_pde("pde lin vars(x,t) params() : u_t = u_xx")
-    o = reduce(p, WaveFrame(p.variables, False, {}))
+    o = reduce(p)
     with pytest.raises(NonIntegerBalance):
         balance_degree(o)
 

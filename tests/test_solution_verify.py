@@ -9,7 +9,7 @@ import pytest
 
 from twsolve import (
     ClosedFormSolution, DenominatorZero, FamilyMismatch, MLSeriesSpec,
-    SubEquationProfile, WaveFrame, alpha_limit_check, construct_solutions,
+    SubEquationProfile, alpha_limit_check, construct_solutions,
     mittag_leffler, residual_fractional, residual_ode, residual_pde,
     riccati_probe,
 )
@@ -30,25 +30,23 @@ def tanh_solution(d, params, **kw):
 # --- construction ---------------------------------------------------------
 
 def test_construct_families_by_sigma_sign(toy):
-    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 2})
     _, sols = tanh_solution(toy, {"k": 1, "c": 2})
     assert [s.family for s in sols] == ["Tanh", "Coth"]
     riccati = SubEquationProfile.riccati()
     pos = construct_solutions(toy.branches[0], riccati,
-                              {"k": 1, "c": 2}, frame, sigma=2)
+                              {"k": 1, "c": 2}, sigma=2)
     assert [s.family for s in pos] == ["Tan", "Cot"]
     zero = construct_solutions(toy.branches[0], riccati,
-                               {"k": 1, "c": 2}, frame, sigma=0)
+                               {"k": 1, "c": 2}, sigma=0)
     assert [s.family for s in zero] == ["Rational"]
 
 
 def test_construct_takes_sigma_from_its_argument_only(toy):
-    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 2})
     with pytest.raises(ValueError, match="disagrees"):
         construct_solutions(toy.branches[0], SubEquationProfile.riccati(2),
-                            {"k": 1, "c": 2}, frame)
+                            {"k": 1, "c": 2})
     sols = construct_solutions(toy.branches[0], SubEquationProfile.riccati(),
-                               {"k": 1, "c": 2, "sigma": 2}, frame, sigma=-1)
+                               {"k": 1, "c": 2, "sigma": 2}, sigma=-1)
     assert [(s.family, dict(s.params)["sigma"]) for s in sols] == \
         [("Tanh", -1), ("Coth", -1)]
 
@@ -65,10 +63,9 @@ def test_construct_flags_violated_constraint(bsq):
 
 
 def test_construct_denominator_zero(toy):
-    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 0})
     with pytest.raises(DenominatorZero):
         construct_solutions(toy.branches[0], CLASSICAL,
-                            {"k": 1, "c": 0}, frame)
+                            {"k": 1, "c": 0})
 
 
 def test_free_a0_default_and_override(sww):
@@ -80,9 +77,8 @@ def test_free_a0_default_and_override(sww):
 
 
 def test_rational_family_shape():
-    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 2})
     s = ClosedFormSolution("Rational", "alphaGeneralized",
-                           (Fraction(0), Fraction(1)), frame,
+                           (Fraction(0), Fraction(1)),
                            sigma=Fraction(0), omega=0.0, alpha=1.0)
     # phi = -Gamma(2)/xi = -1/xi at alpha = 1, omega = 0
     assert s.phi(2.0) == pytest.approx(-0.5)
@@ -239,10 +235,9 @@ def per_node_levels(s, max_j, X):
 
 
 def generalized(family, sigma, alpha):
-    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 1})
     return ClosedFormSolution(family, "alphaGeneralized",
                               (Fraction(1, 2), Fraction(1), Fraction(-2)),
-                              frame, sigma=Fraction(sigma), alpha=alpha)
+                              sigma=Fraction(sigma), alpha=alpha)
 
 
 @pytest.mark.parametrize("family, sigma", [("Tanh", -1), ("Tan", 1)])
@@ -277,9 +272,8 @@ def test_fractional_levels_weigh_one_mesh(monkeypatch):
 @pytest.mark.parametrize("family, sigma, omega", [
     ("Tanh", -1, 0.0), ("Tan", 1, 0.0), ("Rational", 0, 0.5)])
 def test_riccati_probe_is_the_per_point_loop(family, sigma, omega):
-    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 1})
     s = ClosedFormSolution(family, "alphaGeneralized",
-                           (Fraction(0), Fraction(1)), frame,
+                           (Fraction(0), Fraction(1)),
                            sigma=Fraction(sigma), omega=omega, alpha=0.7)
 
     grid = (0.3, 1.2, 7)
@@ -301,18 +295,16 @@ def test_riccati_probe_refuses_a_pole_at_zero(family, sigma, monkeypatch):
 
     monkeypatch.setattr(solution_verify, "jumarie_quadrature", never)
     monkeypatch.setattr(ClosedFormSolution, "phi", never)
-    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 1})
     s = ClosedFormSolution(family, "alphaGeneralized",
-                           (Fraction(0), Fraction(1)), frame,
+                           (Fraction(0), Fraction(1)),
                            sigma=Fraction(sigma), alpha=0.5)
     with pytest.raises(FamilyMismatch, match=family):
         riccati_probe(s)
 
 
 def test_riccati_probe_reports():
-    frame = WaveFrame(("x", "t"), False, {"k": 1, "c": 1})
     s = ClosedFormSolution("Tanh", "alphaGeneralized",
-                           (Fraction(0), Fraction(1)), frame,
+                           (Fraction(0), Fraction(1)),
                            sigma=Fraction(-1), alpha=0.5)
     rep = riccati_probe(s, grid=(0.5, 3.0, 5))
     assert rep.equation_form == "fractionalRiccati"

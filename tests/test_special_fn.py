@@ -80,6 +80,15 @@ def test_ml_domain_guard():
         mittag_leffler(MLSeriesSpec(0.5), 51.0)
 
 
+@pytest.mark.parametrize("name, alpha", [
+    ("tan", 1e308), ("cosh", 2000.0), ("sin", 2000.0), ("cosh", 300.0)])
+def test_generalized_fn_overflowing_power_exceeds_the_guard(name, alpha):
+    # 2^alpha overflows a float at 2000, and stays finite but past the
+    # guard at 300: both are the same refusal
+    with pytest.raises(DomainGuardExceeded):
+        generalized_fn(name, alpha, 2.0)
+
+
 def test_ml_spec_validation():
     with pytest.raises(ValueError):
         MLSeriesSpec(0.0)

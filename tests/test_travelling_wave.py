@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twsolve import (
-    FrameError, NotExactDerivative, WaveFrame, integrate_decay, parse_pde,
-    reduce,
+    FrameError, NotExactDerivative, PdeDefinition, frame_symbol,
+    integrate_decay, parse_pde, reduce,
 )
 from twsolve.pde_ast import differentiate, expr_to_str, jet, jet_order, split_mono
 from twsolve.rational_poly import Poly
@@ -17,7 +17,7 @@ from conftest import run_pipeline, TOY_DSL, SWW_DSL, KP_DSL, BSQ_DSL
 
 
 def ode_str(o):
-    return expr_to_str(o.expr, ("xi",), o.frame.fractional)
+    return expr_to_str(o.expr, ("xi",))
 
 
 def expr_as_xi_poly(e, u_coeffs, nsyms=6):
@@ -69,16 +69,22 @@ def test_reduce_boussinesq():
 
 def test_reduce_fractional_uses_alpha_atoms():
     p = parse_pde("pde f vars(x,t) params() frac(alpha) : u_{t:2} = u_{x:4}")
-    o = reduce(p, WaveFrame(p.variables, True, {}))
+    o = reduce(p)
     syms = {s for m in o.expr.terms for s, _ in split_mono(m)[0]}
     assert syms == {"k_a", "c_a"}
 
 
 def test_frame_symbol_errors():
-    p = parse_pde("pde f vars(x,t) params() : u_t = u_x")
-    f = WaveFrame(p.variables, False, {})
-    with pytest.raises(FrameError):
-        f.symbol("z")
+    assert frame_symbol("y", False) == "m"
+    assert frame_symbol("y", True) == "m_a"
+    with pytest.raises(FrameError, match="'z'"):
+        frame_symbol("z", False)
+    # the DSL admits only x, y and t; a definition built by hand reaches
+    # reduce with a variable that has no frame coefficient
+    u_x, u_z = Poly.var(jet({"x": 1})), Poly.var(jet({"z": 1}))
+    p = PdeDefinition("f", ("x", "z"), (), u_z - u_x)
+    with pytest.raises(FrameError, match="'z'"):
+        reduce(p)
 
 
 # --- integration ----------------------------------------------------------
@@ -107,7 +113,7 @@ def test_integration_oracle_derivative_recovers_original(dsl, times):
     substituting a random exact polynomial u(xi)."""
     rng = random.Random(0)
     p = parse_pde(dsl)
-    o = reduce(p, WaveFrame(p.variables, False, {}))
+    o = reduce(p)
     before = o.expr
     after = integrate_decay(o, 1).expr
     u = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)]
@@ -121,18 +127,18 @@ def test_integration_oracle_derivative_recovers_original(dsl, times):
 
 def test_integrate_rejects_non_exact():
     p = parse_pde("pde ne vars(x,t) params() : u_xx = u*u_t")
-    o = reduce(p, WaveFrame(p.variables, False, {}))
+    o = reduce(p)
     # u*u' integrates, but u''... the full expression k^2 u'' - c u u' is
     # exact; build one that is not: u * u''
     q = parse_pde("pde ne2 vars(x,t) params() : u*u_xx = u_t")
-    o2 = reduce(q, WaveFrame(q.variables, False, {}))
+    o2 = reduce(q)
     with pytest.raises(NotExactDerivative):
         integrate_decay(o2, 1)
 
 
 def test_integrate_zero_times_is_identity():
     p = parse_pde(TOY_DSL)
-    o = reduce(p, WaveFrame(p.variables, False, {}))
+    o = reduce(p)
     assert integrate_decay(o, 0).expr == o.expr
 
 
@@ -144,7 +150,7 @@ def test_integrate_top_jet_times_lower_jet():
     half = Poly.const(Fraction(1, 2))
     assert _integrate_once(c * u1 + k3 * u * u3) == c * u + k3 * (u * u2 - half * u1 ** 2)
     p = parse_pde("pde a vars(x,t) params() : u_t + u*u_xxx = 0")
-    o = integrate_decay(reduce(p, WaveFrame(p.variables, False, {})), 1)
+    o = integrate_decay(reduce(p), 1)
     assert ode_str(o) == "2*k^3*u*u_{xi:2} - k^3*u_{xi:1}^2 + 2*c*u"
 
 
