@@ -15,7 +15,7 @@ from .travelling_wave import (
     reduce,
 )
 from .phi_calculus import (
-    Ansatz, NonIntegerBalance, PhiPolynomial, SubEquationProfile,
+    NonIntegerBalance, PhiPolynomial, SubEquationProfile,
     balance_degree, substitute_ansatz,
 )
 from .algebra_system import (
@@ -23,8 +23,8 @@ from .algebra_system import (
     solve_triangular,
 )
 from .special_fn import (
-    DomainGuardExceeded, EndpointTooClose, GammaPole, MLSeriesSpec,
-    NonConvergence, PoleAt, PowerLawTerm, generalized_fn, jumarie_mesh,
+    DomainGuardExceeded, EndpointTooClose, GammaPole,
+    NonConvergence, PoleAt, generalized_fn, jumarie_mesh,
     jumarie_power_rule, jumarie_quadrature, mittag_leffler,
 )
 from .solution_verify import (

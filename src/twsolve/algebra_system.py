@@ -127,7 +127,7 @@ def _solve_state(equations, unknowns, parameters, assignments, constraints,
             if c.is_constant:
                 return  # c = 0 would force a nonzero denominator to vanish
             final.append(c)
-        results.append(Branch(_resolve_assignments(assignments), _dedupe(final),
+        results.append(Branch(assignments, _dedupe(final),
                               _dedupe(denominators), provenance))
         return
     # branch on the steps of the first row that has any (highest phi-row
@@ -138,11 +138,15 @@ def _solve_state(equations, unknowns, parameters, assignments, constraints,
             break
     else:
         raise Stalled("no equation admits a factor step")
+    # a step's value is free of the unknowns already assigned; the earlier
+    # values that mention u take it in now, so every value stays resolved
     for u, value in steps:
         new_denoms = denominators if value.den.is_constant else denominators + [value.den]
+        resolved = {k: _subs_rational(v, u, value) if u in v.symbols() else v
+                    for k, v in assignments.items()}
         _solve_state([(pw, _subs_assignment(pl, u, value)) for pw, pl in pending
                       if pw != power],
-                     unknowns, parameters, {**assignments, u: value}, constraints,
+                     unknowns, parameters, {**resolved, u: value}, constraints,
                      new_denoms, provenance + [(power, f"{u}={value}")], results)
 
 
@@ -153,23 +157,6 @@ def _subs_rational(v: RationalFn, u: str, value: RationalFn) -> RationalFn:
     num = _subs_assignment(v.num, u, value) * value.den ** dd
     den = _subs_assignment(v.den, u, value) * value.den ** dn
     return RationalFn(num, den)
-
-
-def _resolve_assignments(assignments: dict) -> dict:
-    """Back-substitute assignments into each other until each value is free
-    of assigned unknowns."""
-    out = dict(assignments)
-    for _ in range(len(out)):
-        changed = False
-        for k, v in out.items():
-            for u in list(v.symbols() & set(out)):
-                if u != k:
-                    v = _subs_rational(v, u, out[u])
-                    changed = True
-            out[k] = v
-        if not changed:
-            break
-    return out
 
 
 def _dedupe(constraints):

@@ -17,7 +17,7 @@ from .pipeline import run
 from .solution_verify import (
     DEFAULT_GRID, FRACTIONAL_GRID, residual_fractional, residual_ode, residual_pde,
 )
-from .special_fn import MLSeriesSpec, generalized_fn, mittag_leffler
+from .special_fn import generalized_fn, mittag_leffler
 from .travelling_wave import FRAME_SYMBOLS, XI
 
 FMT = "%.12e"
@@ -173,6 +173,10 @@ def _check_method(args, method, definition):
         raise CliError("method subeq requires a fractional definition or --sigma")
     if method == "tanh" and definition.fractional:
         raise CliError("method tanh applies to integer-order definitions")
+    if getattr(args, "form", None) == "originalPde" and definition.fractional:
+        raise CliError("--form originalPde applies to integer-order "
+                       "definitions; a fractional residual is measured on "
+                       "the reduced ODE")
     if "alpha" in args and args.alpha < 1 and not definition.fractional:
         raise CliError("--alpha below 1 needs a fractional definition; an "
                        "integer-order one reads only alpha = 1")
@@ -238,9 +242,10 @@ def _sigma(args):
     return -1 if args.sigma is None else args.sigma
 
 
-def _residual(r, s, grid_text, form="originalPde"):
+def _residual(r, s, grid_text, form=None):
     """Residual of solution `s`: a measurement on the reduced ODE for a
-    fractional definition, exact on the original PDE or `form` otherwise."""
+    fractional definition, otherwise exact on `form`, by default the
+    original PDE."""
     if r.definition.fractional:
         return residual_fractional(s, r.ode,
                                    grid=_parse_grid(grid_text, FRACTIONAL_GRID))
@@ -392,11 +397,10 @@ def cmd_figure(args) -> int:
 def cmd_tabulate(args) -> int:
     if not 0 < args.alpha < math.inf:
         raise CliError(f"--alpha must be finite and positive, got {args.alpha:g}")
-    spec = MLSeriesSpec(args.alpha)
     lines = ["x,value"]
     for x in _axis(_parse_grid(args.grid, (0.0, 5.0, 51))):
         if args.fn == "ml":
-            v = mittag_leffler(spec, x)
+            v = mittag_leffler(args.alpha, x)
         else:
             try:
                 v = generalized_fn(args.fn, args.alpha, x)
@@ -450,8 +454,9 @@ def build_parser():
     sp.add_argument("pde")
     sp.add_argument("--branch", type=int, default=0)
     sp.add_argument("--form", choices=("originalPde", "reducedOde"),
-                    default="originalPde",
-                    help="equation the residual is measured against")
+                    help="equation the residual is measured against "
+                         "(default originalPde; a fractional definition "
+                         "is measured on its reduced ODE)")
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 

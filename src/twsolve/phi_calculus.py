@@ -51,25 +51,6 @@ class SubEquationProfile:
         return out
 
 
-@dataclass(frozen=True)
-class Ansatz:
-    degree: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("ansatz degree must be >= 1")
-
-    @property
-    def coeff_symbols(self) -> tuple:
-        return tuple(f"a{i}" for i in range(self.degree + 1))
-
-    def poly(self) -> Poly:
-        s = Poly()
-        for i, sym in enumerate(self.coeff_symbols):
-            s = s + Poly.var(sym) * Poly.var(PHI, i) if i else s + Poly.var(sym)
-        return s
-
-
 def balance_degree(o: ReducedOde) -> int:
     """Homogeneous balance: under a degree-n ansatz each factor u^(j) has
     phi-degree n + j, so a term's degree is linear in n; n equates the two
@@ -117,15 +98,21 @@ class PhiPolynomial:
         return all(c.is_zero for c in self.coefficients)
 
 
-def substitute_ansatz(o: ReducedOde, a: Ansatz, profile: SubEquationProfile) -> PhiPolynomial:
-    """Replace every u^(j) by D^j of the ansatz polynomial and collect the
-    result as a polynomial identity in phi.  Common phi-factors are
-    intentionally not divided out."""
+def substitute_ansatz(o: ReducedOde, degree: int, profile: SubEquationProfile) -> PhiPolynomial:
+    """Replace every u^(j) by D^j of the ansatz a0 + a1*phi + ... +
+    a_degree*phi^degree and collect the result as a polynomial identity in
+    phi.  Common phi-factors are intentionally not divided out."""
+    if degree < 1:
+        raise ValueError("ansatz degree must be >= 1")
+    unknowns = tuple(f"a{i}" for i in range(degree + 1))
+    ansatz = Poly.var(unknowns[0])
+    for i, sym in enumerate(unknowns[1:], 1):
+        ansatz = ansatz + Poly.var(sym) * Poly.var(PHI, i)
     orders = {sym: j for sym in o.expr.symbols() if (j := jet_order(sym)) is not None}
-    ds = profile.derivatives(a.poly(), max([0, *orders.values()]))
+    ds = profile.derivatives(ansatz, max([0, *orders.values()]))
     total = o.expr.substitute({sym: ds[j] for sym, j in orders.items()})
     uni = total.as_univariate(PHI)
     deg = max(uni) if uni else 0
     coefficients = tuple(uni.get(d, Poly()) for d in range(deg + 1))
-    params = sorted((total.symbols() - {PHI}) - set(a.coeff_symbols))
-    return PhiPolynomial(coefficients, a.coeff_symbols, tuple(params))
+    params = sorted((total.symbols() - {PHI}) - set(unknowns))
+    return PhiPolynomial(coefficients, unknowns, tuple(params))

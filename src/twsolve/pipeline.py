@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .algebra_system import CoefficientSystem, extract_system, solve_triangular
 from .pde_ast import PdeDefinition
 from .phi_calculus import (
-    Ansatz, PhiPolynomial, SubEquationProfile, balance_degree, substitute_ansatz,
+    PhiPolynomial, SubEquationProfile, balance_degree, substitute_ansatz,
 )
 from .solution_verify import construct_solutions
 from .travelling_wave import (
@@ -57,7 +57,7 @@ def run(definition: PdeDefinition, profile: SubEquationProfile = None,
     ode = integrate_decay(reduced, integrate) if integrate else reduced
     if degree is None:
         degree = balance_degree(ode)
-    phi_poly = substitute_ansatz(ode, Ansatz(degree), profile)
+    phi_poly = substitute_ansatz(ode, degree, profile)
     system = extract_system(phi_poly)
     return Result(definition, profile, reduced, ode, degree, phi_poly, system,
                   solve_triangular(system))

@@ -23,7 +23,9 @@ from .rational_poly import Poly
 from .travelling_wave import (
     FRAME_SYMBOLS, FRAME_SYMBOLS_FRACTIONAL, ReducedOde, frame_symbol,
 )
-from .special_fn import PoleAt, generalized_fn, jumarie_mesh, jumarie_quadrature
+from .special_fn import (
+    DomainGuardExceeded, PoleAt, generalized_fn, jumarie_mesh, jumarie_quadrature,
+)
 
 CONSTRAINT_TOL = 1e-12
 POLE_EXCLUSION_RADIUS = 1e-2
@@ -78,27 +80,27 @@ class ClosedFormSolution:
     def phi(self, xi: float) -> float:
         """phi(xi); odd extension for xi < 0 (every base function is odd)."""
         xi = xi + self.xi_shift
-        if xi < 0:
-            return -self.phi(-xi - self.xi_shift)
-        if self.variant == "classical":
-            if self.family == "Tanh":
-                return math.tanh(xi)
-            if self.family == "Coth":
-                return 1.0 / math.tanh(xi)
-        s = float(self.sigma)
-        if self.family in HYPERBOLIC_FAMILIES:
-            r = math.sqrt(-s)
+        odd = xi < 0
+        if odd:
+            xi = -xi
+        if self.variant == "classical" and self.family == "Tanh":
+            v = math.tanh(xi)
+        elif self.variant == "classical" and self.family == "Coth":
+            v = 1.0 / math.tanh(xi)
+        elif self.family in HYPERBOLIC_FAMILIES:
+            r = math.sqrt(-float(self.sigma))
             name = "tanh" if self.family == "Tanh" else "coth"
-            return -r * generalized_fn(name, self.alpha, r * xi)
-        if self.family in TRIG_FAMILIES:
-            r = math.sqrt(s)
-            if self.family == "Tan":
-                return r * generalized_fn("tan", self.alpha, r * xi)
-            return -r * generalized_fn("cot", self.alpha, r * xi)
-        den = xi ** self.alpha + self.omega
-        if abs(den) < 1e-13:
-            raise PoleAt(xi)
-        return -math.gamma(1.0 + self.alpha) / den
+            v = -r * generalized_fn(name, self.alpha, r * xi)
+        elif self.family in TRIG_FAMILIES:
+            r = math.sqrt(float(self.sigma))
+            v = (r * generalized_fn("tan", self.alpha, r * xi) if self.family == "Tan"
+                 else -r * generalized_fn("cot", self.alpha, r * xi))
+        else:
+            den = xi ** self.alpha + self.omega
+            if abs(den) < 1e-13:
+                raise PoleAt(xi)
+            v = -math.gamma(1.0 + self.alpha) / den
+        return -v if odd else v
 
     def u_of_xi(self, xi: float) -> float:
         p = self.phi(xi)
@@ -205,7 +207,13 @@ def construct_solutions(b, profile: SubEquationProfile, param_values: dict, *,
         if den == 0:
             raise DenominatorZero(f"denominator of {u} vanishes at the given parameters")
         coeffs[u] = num / den
-    cvals = tuple(float(c.eval(vals)) for c in b.constraints)
+    cvals = []
+    for c in b.constraints:
+        try:
+            cvals.append(float(c.eval(vals)))
+        except OverflowError:
+            raise DomainGuardExceeded(f"constraint {c} overflows a float at "
+                                      "the given parameters") from None
 
     degree = max(int(u[1:]) for u in coeffs) if coeffs else 0
     a = tuple(_as_fraction(coeffs.get(f"a{i}", a0 if i == 0 else 0))
@@ -215,7 +223,7 @@ def construct_solutions(b, profile: SubEquationProfile, param_values: dict, *,
     for fam in _admitted_families(sig):
         out.append(ClosedFormSolution(
             family=fam, variant=variant, coefficients=a, sigma=sig,
-            omega=omega, alpha=alpha, constraint_values=cvals,
+            omega=omega, alpha=alpha, constraint_values=tuple(cvals),
             params=tuple(sorted(params.items()))))
     return out
 

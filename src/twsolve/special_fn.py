@@ -8,13 +8,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from mpmath import libmp
 
 DEFAULT_GUARD = 50.0
+_ML_TERMS = 400             # term cap of the series, read at call time
 _POLE_TOL = 1e-13
 _FALLBACK_DIGITS = 30
 _FLOAT_REL_TOL = 1e-13      # accepted rounding-error bound of the float series
@@ -62,13 +63,13 @@ def _gamma_1p(alpha: float, k: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _inv_gamma_floats(alpha: float, truncation: int) -> tuple:
-    """1/Gamma(1 + k*alpha) rounded to float for k = 0..truncation, cut
-    before the first entry below the normal float range."""
+def _inv_gamma_floats(alpha: float, terms: int) -> tuple:
+    """1/Gamma(1 + k*alpha) rounded to float for k = 0..terms, cut before
+    the first entry below the normal float range."""
     out = []
     with mpmath.workdps(_FALLBACK_DIGITS):
         a = mpmath.mpf(alpha)
-        for k in range(truncation + 1):
+        for k in range(terms + 1):
             v = float(mpmath.rgamma(1 + k * a))
             if v < sys.float_info.min:
                 break
@@ -76,24 +77,11 @@ def _inv_gamma_floats(alpha: float, truncation: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MLSeriesSpec:
-    alpha: float
-    truncation: int = 400
-    domain_guard: float = DEFAULT_GUARD
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.truncation < 1:
-            raise ValueError("truncation must be at least 1")
-
-
-def _ml_float(spec: MLSeriesSpec, z):
+def _ml_float(alpha: float, z):
     """The series in float (complex for complex z), or None unless it
     converged to a finite sum whose rounding error, bounded by
     4*k*eps*sum|t_k| over k terms, is within _FLOAT_REL_TOL of the sum."""
-    inv = _inv_gamma_floats(spec.alpha, spec.truncation)
+    inv = _inv_gamma_floats(alpha, _ML_TERMS)
     total = size = power = 1.0
     for k in range(1, len(inv)):
         power *= z
@@ -117,21 +105,23 @@ def _top(z):
     return max(e1 + b1 if m1 else -math.inf, e2 + b2 if m2 else -math.inf)
 
 
-def mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
+def mittag_leffler(alpha: float, z: complex, guard: float = DEFAULT_GUARD) -> complex:
     """E_alpha(z) = sum_k z^k / Gamma(1 + k*alpha), by direct series: in
     float when its rounding error is certified small, otherwise with
     extended-precision accumulation to control cancellation at negative or
-    imaginary z."""
-    if abs(z) > spec.domain_guard:
-        raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {spec.domain_guard:g}")
-    fast = _ml_float(spec, z)
+    imaginary z.  |z| beyond `guard` is refused."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if abs(z) > guard:
+        raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {guard:g}")
+    fast = _ml_float(alpha, z)
     if fast is not None:
         return fast
     # cancellation for negative/complex z eats ~|z|^(1/alpha)*log10(e) digits;
     # widen the working precision accordingly (capped).  The loop works on
     # raw libmp parts with the operations, precision and rounding that the
     # mpf/mpc operators would apply, without their object layer.
-    extra = int(min(0.5 * abs(z) ** (1.0 / spec.alpha), 200.0))
+    extra = int(min(0.5 * abs(z) ** (1.0 / alpha), 200.0))
     with mpmath.workdps(_FALLBACK_DIGITS + extra):
         prec, rnd = mpmath.mp._prec_rounding
         c = complex(z)
@@ -140,9 +130,9 @@ def mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
         tol = libmp.from_float(_ML_TERM_TOL)
         tiny = libmp.from_float(1e-30)
         tiny_bound = libmp.from_float(_ML_TERM_TOL * 1e-30)
-        for k in range(1, spec.truncation + 1):
+        for k in range(1, _ML_TERMS + 1):
             power = libmp.mpc_mul(power, zz, prec, rnd)
-            term = libmp.mpc_div_mpf(power, _gamma_1p(spec.alpha, k)._mpf_, prec, rnd)
+            term = libmp.mpc_div_mpf(power, _gamma_1p(alpha, k)._mpf_, prec, rnd)
             total = libmp.mpc_add(total, term, prec, rnd)
             # |term| < _ML_TERM_TOL*max(|total|, 1e-30), 2^-54 < _ML_TERM_TOL <
             # 2^-53: if lm >= -97, lt <= lm-56 gives |term| < 2^(lm-55) < the
@@ -159,7 +149,7 @@ def mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
             if libmp.mpf_lt(libmp.mpc_abs(term, prec, rnd), bound):
                 break
         else:
-            raise NonConvergence(f"series did not converge in {spec.truncation} terms")
+            raise NonConvergence(f"series did not converge in {_ML_TERMS} terms")
         # to_float rounds down unless told the context's rounding
         result = libmp.mpc_to_complex(total, rnd=rnd)
     if abs(result.imag) < 1e-30 and isinstance(z, (int, float)):
@@ -179,7 +169,8 @@ def generalized_fn(name: str, alpha: float, x: float) -> float:
         raise ValueError(f"unknown generalized function {name!r}")
     if x < 0:
         raise ValueError("generalized functions take x >= 0")
-    spec = MLSeriesSpec(alpha)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     try:
         xa = x ** alpha
     except OverflowError:       # beyond every guard: mittag_leffler refuses it
@@ -187,9 +178,8 @@ def generalized_fn(name: str, alpha: float, x: float) -> float:
     if name in ("sinh", "cosh", "tanh", "coth"):
         # cosh_a(x) = E_2a(x^2a) holds the even terms of E_a(x^a), so both
         # series sum positive terms and E_a(-x^a) is never formed
-        ep = mittag_leffler(spec, xa)
-        cosh_a = mittag_leffler(replace(spec, alpha=2 * spec.alpha,
-                                        domain_guard=spec.domain_guard ** 2), xa * xa)
+        ep = mittag_leffler(alpha, xa)
+        cosh_a = mittag_leffler(2 * alpha, xa * xa, guard=DEFAULT_GUARD ** 2)
         sinh_a = ep - cosh_a
         if name == "sinh":
             return sinh_a
@@ -198,7 +188,7 @@ def generalized_fn(name: str, alpha: float, x: float) -> float:
         num, den = (sinh_a, cosh_a) if name == "tanh" else (cosh_a, sinh_a)
     else:
         # E_a(-i t) is the conjugate of E_a(i t), bit for bit on both paths
-        ep = mittag_leffler(spec, 1j * xa)
+        ep = mittag_leffler(alpha, 1j * xa)
         em = ep.conjugate()
         sin_a = ((ep - em) / 2j).real
         cos_a = ((ep + em) / 2.0).real
@@ -212,24 +202,16 @@ def generalized_fn(name: str, alpha: float, x: float) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
-class PowerLawTerm:
-    gamma: float
-    coefficient: float = 1.0
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("power-law exponent must be > 0")
-
-
-def jumarie_power_rule(alpha: float, t: PowerLawTerm, x: float) -> float:
-    """D^alpha[c x^gamma] = c * Gamma(1+gamma)/Gamma(1+gamma-alpha) * x^(gamma-alpha)."""
+def jumarie_power_rule(alpha: float, gamma: float, x: float) -> float:
+    """D^alpha[x^gamma] = Gamma(1+gamma)/Gamma(1+gamma-alpha) * x^(gamma-alpha)."""
+    if gamma <= 0:
+        raise ValueError("power-law exponent must be > 0")
     if x <= 0:
         raise ValueError("x must be > 0")
-    arg = 1 + t.gamma - alpha
+    arg = 1 + gamma - alpha
     if arg <= 0 and float(arg).is_integer():
         raise GammaPole(f"Gamma pole at 1+gamma-alpha = {arg}")
-    return t.coefficient * math.gamma(1 + t.gamma) / math.gamma(arg) * x ** (t.gamma - alpha)
+    return math.gamma(1 + gamma) / math.gamma(arg) * x ** (gamma - alpha)
 
 
 _BLOCK_ROWS = 16             # kernel rows are applied this many at a time

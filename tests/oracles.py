@@ -2,7 +2,8 @@
 sympy solver for coefficient systems, the Jumarie quadrature as a scalar
 loop, and the Mittag-Leffler series with its fallback on mpmath's number
 objects.  None is part of twsolve; each checks one of its exact, vectorised
-or raw paths."""
+or raw paths.  sympy is imported inside the two functions that use it, so
+the other oracles load where sympy is missing."""
 from __future__ import annotations
 
 import math
@@ -10,12 +11,11 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-import sympy
 
-from twsolve import CoefficientSystem, NonConvergence
+from twsolve import CoefficientSystem, NonConvergence, special_fn
 from twsolve.rational_poly import RationalFn
 from twsolve.special_fn import (
-    _FALLBACK_DIGITS, _ML_TERM_TOL, DomainGuardExceeded, MLSeriesSpec,
+    _FALLBACK_DIGITS, _ML_TERM_TOL, DEFAULT_GUARD, DomainGuardExceeded,
     _gamma_1p, _ml_float,
 )
 
@@ -96,6 +96,7 @@ def solve_numeric(s: CoefficientSystem, param_values: dict, seeds: int = 64,
 def to_sympy(value, symbols: dict):
     """A Poly or RationalFn as a sympy expression; `symbols` maps each name
     to its sympy Symbol."""
+    import sympy
     if isinstance(value, RationalFn):
         return to_sympy(value.num, symbols) / to_sympy(value.den, symbols)
     return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
@@ -109,6 +110,7 @@ def sympy_solutions(s: CoefficientSystem, speed: str):
     (2004) 669) solve for the a_i and c.  The other parameters are positive
     symbols, so that sqrt(k**8) simplifies to k**4.  Returns the symbol
     table and the solutions as dicts Symbol -> expression."""
+    import sympy
     solved = (*s.unknowns, speed)
     symbols = {name: sympy.Symbol(name) if name in solved
                else sympy.Symbol(name, positive=True)
@@ -161,30 +163,31 @@ def scalar_quadrature(f, alpha, x, X, max_refine=9, n0=64):
     raise NonConvergence("quadrature refinement cap reached")
 
 
-def operator_mittag_leffler(spec: MLSeriesSpec, z: complex) -> complex:
+def operator_mittag_leffler(alpha: float, z: complex,
+                            guard: float = DEFAULT_GUARD) -> complex:
     """`special_fn.mittag_leffler` with its fallback written with mpmath's
     mpf/mpc operators: the reference that the raw libmp loop must
     reproduce bit for bit."""
-    if abs(z) > spec.domain_guard:
-        raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {spec.domain_guard:g}")
-    fast = _ml_float(spec, z)
+    if abs(z) > guard:
+        raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {guard:g}")
+    fast = _ml_float(alpha, z)
     if fast is not None:
         return fast
     # cancellation for negative/complex z eats ~|z|^(1/alpha)*log10(e) digits;
     # widen the working precision accordingly (capped)
-    extra = int(min(0.5 * abs(z) ** (1.0 / spec.alpha), 200.0))
+    extra = int(min(0.5 * abs(z) ** (1.0 / alpha), 200.0))
     with mpmath.workdps(_FALLBACK_DIGITS + extra):
         zz = mpmath.mpmathify(z)
         total = mpmath.mpf(1)
         power = mpmath.mpf(1)
-        for k in range(1, spec.truncation + 1):
+        for k in range(1, special_fn._ML_TERMS + 1):
             power = power * zz
-            term = power / _gamma_1p(spec.alpha, k)
+            term = power / _gamma_1p(alpha, k)
             total = total + term
             if abs(term) < _ML_TERM_TOL * max(abs(total), 1e-30):
                 break
         else:
-            raise NonConvergence(f"series did not converge in {spec.truncation} terms")
+            raise NonConvergence(f"series did not converge in {special_fn._ML_TERMS} terms")
         result = complex(total)
     if abs(result.imag) < 1e-30 and isinstance(z, (int, float)):
         return result.real

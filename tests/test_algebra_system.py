@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from twsolve import CoefficientSystem, extract_system, solve_triangular
 from twsolve.algebra_system import _subs_assignment
@@ -133,6 +132,8 @@ def test_constraint_that_is_a_denominator_power_kills_branch():
 def _holds(branch, solution, symbols):
     """The branch's assignments equal the solution's values and its
     constraints vanish there."""
+    import sympy
+
     def zero(expr):
         return sympy.simplify(expr.subs(solution)) == 0
     return all(zero(to_sympy(v, symbols) - symbols[u])
@@ -147,6 +148,7 @@ def test_branches_match_sympy_solutions(fixture, request):
     solution that sympy finds for the unknowns and the wave speed together,
     and every such solution satisfies some branch (kp and bsq have 2 and 4
     solutions, each on their one branch)."""
+    import sympy
     d = request.getfixturevalue(fixture)
     symbols, solutions = sympy_solutions(
         d.system, "c_a" if d.definition.fractional else "c")

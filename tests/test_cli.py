@@ -143,7 +143,7 @@ TRACED_COMMANDS = (
 
 def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
                                                             monkeypatch):
-    """The benchmark's traced run wraps mittag_leffler (hashing its spec and
+    """The benchmark's traced run wraps mittag_leffler (hashing its alpha and
     z), ClosedFormSolution.phi (hashing xi) and jumarie_quadrature (wrapping
     its first positional argument); every call of the fractional, figure,
     symbolic and tabulate commands must pass through those wrappers
@@ -210,6 +210,8 @@ def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
     ("solve", "sww", "--method", "subeq", "--sigma=-1", "--omega", "2"),
     ("verify", "sww", "--method", "subeq", "--alpha", "0.8", "--sigma=-1",
      "--grid=-1:1:3"),
+    ("verify", "sww", "--method", "subeq", "--alpha", "0.8", "--sigma=-1",
+     "--form", "originalPde"),
     ("figure", "2", "--alphas", "abc"),
     ("figure", "1", "--alphas", "0.5"),
     ("tabulate", "ml", "--alpha", "0"),
@@ -229,6 +231,19 @@ def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out)["error"] == "CliError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "sww", "--method", "subeq", "--sigma", "1e308", "--alpha", "0.8"),
+    ("figure", "2", "--sigma=-1e308"),
+], ids=lambda argv: " ".join(argv))
+def test_huge_sigma_overflow_names_the_constraint(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "DomainGuardExceeded",
+        "message": "constraint 4*k_a^2*m_a*sigma + c_a + k_a overflows a "
+                   "float at the given parameters"}
 
 
 @pytest.mark.parametrize("key,frac_dsl", [

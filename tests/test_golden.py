@@ -131,6 +131,7 @@ CASES = {
                            "--sigma=-1", "--params", "sigma=2"],
     "error_fractional_grid": ["verify", "sww", "--method", "subeq", "--alpha",
                               "0.8", "--sigma=-1", "--grid=-1:1:3"],
+    "error_sigma_overflow": ["solve", "sww", "--method", "subeq", "--sigma=-1e308"],
 }
 
 

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from twsolve import (
-    Ansatz, NonIntegerBalance, SubEquationProfile, balance_degree,
-    parse_pde, reduce,
+    NonIntegerBalance, SubEquationProfile, balance_degree, parse_pde, reduce,
+    substitute_ansatz,
 )
 from twsolve.phi_calculus import PHI
 from twsolve.rational_poly import Poly
@@ -88,10 +88,14 @@ def test_balance_needs_nonlinear_term():
         balance_degree(o)
 
 
-def test_ansatz_symbols():
-    a = Ansatz(2)
-    assert a.coeff_symbols == ("a0", "a1", "a2")
-    assert a.poly().degree_in(PHI) == 2
+def test_substitute_ansatz_unknowns(toy):
+    tanh = SubEquationProfile.classical_tanh()
+    pp = substitute_ansatz(toy.ode, 2, tanh)
+    assert pp.unknowns == ("a0", "a1", "a2")
+    # u_xx = u*u_t: the product term has phi-degree 2 + 2 + 1
+    assert pp.degree == 5
+    with pytest.raises(ValueError, match="ansatz degree must be >= 1"):
+        substitute_ansatz(toy.ode, 0, tanh)
 
 
 def test_substitute_ansatz_boussinesq_top_row(bsq):

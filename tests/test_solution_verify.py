@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from twsolve import (
-    ClosedFormSolution, DenominatorZero, FamilyMismatch, MLSeriesSpec,
+    ClosedFormSolution, DenominatorZero, FamilyMismatch,
     SubEquationProfile, alpha_limit_check, construct_solutions,
     mittag_leffler, residual_fractional, residual_ode, residual_pde,
     riccati_probe,
@@ -201,9 +201,8 @@ def test_fractional_levels_accuracy_on_jumarie_fixed_point(alpha, bounds):
     """u = E_alpha(xi^alpha) solves D^alpha u = u, so every derivative level
     should reproduce u.  The bounds state the operator's present maximum
     relative error over xi in (0.5, 4) with X = 5, for levels 1, 2, 3."""
-    spec = MLSeriesSpec(alpha)
     s = SimpleNamespace(alpha=alpha,
-                        u_of_xi=lambda xi: mittag_leffler(spec, float(xi) ** alpha))
+                        u_of_xi=lambda xi: mittag_leffler(alpha, float(xi) ** alpha))
     nodes, levels = _fractional_levels(s, 3, 5.0)
     inside = (nodes > 0.5) & (nodes < 4.0)
     u = np.array([s.u_of_xi(xi) for xi in nodes[inside]])

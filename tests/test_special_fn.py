@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twsolve import (
-    DomainGuardExceeded, GammaPole, MLSeriesSpec, NonConvergence, PoleAt,
-    PowerLawTerm, generalized_fn, jumarie_mesh, jumarie_power_rule,
-    jumarie_quadrature, mittag_leffler,
+    DomainGuardExceeded, GammaPole, NonConvergence, PoleAt, generalized_fn,
+    jumarie_mesh, jumarie_power_rule, jumarie_quadrature, mittag_leffler,
 )
+from twsolve import special_fn
 from twsolve.special_fn import _ml_float
 
 from oracles import operator_mittag_leffler, scalar_quadrature
@@ -56,28 +56,28 @@ def rel_err(got, want):
 # --- Mittag-Leffler -------------------------------------------------------
 
 def test_ml_alpha1_is_exp():
-    spec = MLSeriesSpec(1.0)
-    assert mittag_leffler(spec, 1.0) == pytest.approx(math.e, abs=1e-14)
+    assert mittag_leffler(1.0, 1.0) == pytest.approx(math.e, abs=1e-14)
     for i in range(101):
         x = -5.0 + 10.0 * i / 100
-        assert abs(mittag_leffler(spec, x) - math.exp(x)) < 1e-12
+        assert abs(mittag_leffler(1.0, x) - math.exp(x)) < 1e-12
 
 
 def test_ml_alpha2_is_cosh():
-    spec = MLSeriesSpec(2.0)
-    assert mittag_leffler(spec, 1.0) == pytest.approx(math.cosh(1.0), abs=1e-14)
+    assert mittag_leffler(2.0, 1.0) == pytest.approx(math.cosh(1.0), abs=1e-14)
     for i in range(31):
         x = 3.0 * i / 30
-        assert abs(mittag_leffler(spec, x * x) - math.cosh(x)) < 1e-12
+        assert abs(mittag_leffler(2.0, x * x) - math.cosh(x)) < 1e-12
 
 
 def test_ml_at_zero():
-    assert mittag_leffler(MLSeriesSpec(0.5), 0.0) == 1.0
+    assert mittag_leffler(0.5, 0.0) == 1.0
 
 
 def test_ml_domain_guard():
-    with pytest.raises(DomainGuardExceeded):
-        mittag_leffler(MLSeriesSpec(0.5), 51.0)
+    with pytest.raises(DomainGuardExceeded, match="exceeds guard 50"):
+        mittag_leffler(0.5, 51.0)
+    assert mittag_leffler(1.0, 51.0, guard=2500.0) == pytest.approx(math.exp(51.0),
+                                                                rel=1e-13)
 
 
 @pytest.mark.parametrize("name, alpha", [
@@ -89,11 +89,13 @@ def test_generalized_fn_overflowing_power_exceeds_the_guard(name, alpha):
         generalized_fn(name, alpha, 2.0)
 
 
-def test_ml_spec_validation():
-    with pytest.raises(ValueError):
-        MLSeriesSpec(0.0)
-    with pytest.raises(ValueError):
-        MLSeriesSpec(0.5, truncation=0)
+def test_ml_alpha_validation():
+    # alpha is checked before x^alpha is formed: 0.0 ** -1 would divide
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            mittag_leffler(alpha, 1.0)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            generalized_fn("tanh", alpha, 0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,12 +106,14 @@ def test_ml_truncation_stability(alpha, z):
     the cap is genuinely too small (small alpha, large |z|) both calls must
     report NonConvergence rather than return a bad value."""
     try:
-        a = mittag_leffler(MLSeriesSpec(alpha, truncation=400), z)
+        a = mittag_leffler(alpha, z)
     except NonConvergence:
         with pytest.raises(NonConvergence):
-            mittag_leffler(MLSeriesSpec(alpha, truncation=400), z)
+            mittag_leffler(alpha, z)
         return
-    b = mittag_leffler(MLSeriesSpec(alpha, truncation=800), z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special_fn, "_ML_TERMS", 800)
+        b = mittag_leffler(alpha, z)
     assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
 
 
@@ -118,23 +122,24 @@ def test_ml_negative_real_axis(z):
     """At large negative z the series cancels to ~|z|^(1/alpha) lost digits;
     1 + k*alpha must be formed at the working precision, not in float
     (E_0.6(-10) = 0.0466, E_0.6(-8) = +0.0586)."""
-    assert rel_err(mittag_leffler(MLSeriesSpec(0.6), z), ml_ref(0.6, z)) <= 1e-13
+    assert rel_err(mittag_leffler(0.6, z), ml_ref(0.6, z)) <= 1e-13
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-def test_ml_accuracy_contract(alpha):
+def test_ml_accuracy_contract(alpha, monkeypatch):
     """E_alpha within 1e-13 relative error on z in [-10, 10] and [-5i, 5i].
     E_0.5 at z <= -8 needs more than the default 400 terms (about 620 at
-    -10): there the default spec raises NonConvergence, and a doubled cap
+    -10): there the default cap raises NonConvergence, and a doubled cap
     meets the same bound."""
-    spec = MLSeriesSpec(alpha)
     zs = [-10.0 + 0.5 * i for i in range(41)] + [0.5j * i for i in range(-10, 11)]
     for z in zs:
         try:
-            got = mittag_leffler(spec, z)
+            got = mittag_leffler(alpha, z)
         except NonConvergence:
             assert alpha == 0.5 and z.real <= -8, z
-            got = mittag_leffler(MLSeriesSpec(alpha, truncation=800), z)
+            with monkeypatch.context() as mp:
+                mp.setattr(special_fn, "_ML_TERMS", 800)
+                got = mittag_leffler(alpha, z)
         assert rel_err(got, ml_ref(alpha, z)) <= 1e-13, z
 
 
@@ -156,21 +161,20 @@ def test_ml_fallback_is_the_operator_loop(alpha):
     """The fallback on raw libmp parts, which decides most stopping tests
     from binary exponents, returns what the same series on mpf/mpc objects
     returns, bit for bit and of the same type."""
-    spec = MLSeriesSpec(alpha)
-    assert all(_ml_float(spec, z) is None for z in FALLBACK_ZS)
+    assert all(_ml_float(alpha, z) is None for z in FALLBACK_ZS)
     sweep = [1j * float(x) ** alpha for x in np.linspace(0.05, 5.0, 97)] + SWEEP_ZS
-    assert sum(_ml_float(spec, z) is None for z in sweep) > len(sweep) // 2
+    assert sum(_ml_float(alpha, z) is None for z in sweep) > len(sweep) // 2
     for z in FALLBACK_ZS + sweep:
-        got, want = mittag_leffler(spec, z), operator_mittag_leffler(spec, z)
+        got, want = mittag_leffler(alpha, z), operator_mittag_leffler(alpha, z)
         assert type(got) is type(want), z
         assert got == want, z
 
 
 def test_ml_fallback_keeps_its_term_cap():
     with pytest.raises(NonConvergence):
-        mittag_leffler(MLSeriesSpec(0.5), -10.0)
+        mittag_leffler(0.5, -10.0)
     with pytest.raises(NonConvergence):
-        operator_mittag_leffler(MLSeriesSpec(0.5), -10.0)
+        operator_mittag_leffler(0.5, -10.0)
 
 
 def test_ml_float_path_serves_hyperbolic_arguments():
@@ -179,8 +183,8 @@ def test_ml_float_path_serves_hyperbolic_arguments():
     for alpha in (0.7, 0.8, 0.9, 1.0):
         for x in (0.0, 0.1, 1.0, 10.5):
             xa = x ** alpha
-            assert _ml_float(MLSeriesSpec(alpha), xa) is not None, (alpha, x)
-            assert _ml_float(MLSeriesSpec(2 * alpha), xa * xa) is not None, (alpha, x)
+            assert _ml_float(alpha, xa) is not None, (alpha, x)
+            assert _ml_float(2 * alpha, xa * xa) is not None, (alpha, x)
 
 
 # --- generalized functions ------------------------------------------------
@@ -206,7 +210,7 @@ def test_generalized_small_x_absolute_error():
 def test_generalized_trig_fallback_matches_reference():
     """tan_0.6(5) sums E_0.6(+/- 2.63i) with cancellation, so the mpmath
     series serves it."""
-    assert _ml_float(MLSeriesSpec(0.6), 1j * 5.0 ** 0.6) is None
+    assert _ml_float(0.6, 1j * 5.0 ** 0.6) is None
     want = generalized_ref(0.6, 5.0, trig=True)["tan"]
     assert rel_err(generalized_fn("tan", 0.6, 5.0), want) <= 1e-13
 
@@ -216,14 +220,13 @@ def test_generalized_trig_equals_two_series_formula(alpha):
     """The trig family takes E_a(-i t) as the conjugate of E_a(i t).  Its
     values equal the formula with both series summed, bit for bit, on the
     float path and on the mpmath fallback."""
-    spec = MLSeriesSpec(alpha)
     fallbacks = 0
     for i in range(151):
         x = i / 25
         xa = x ** alpha
-        ep = mittag_leffler(spec, 1j * xa)
-        em = mittag_leffler(spec, -1j * xa)
-        fallbacks += _ml_float(spec, 1j * xa) is None
+        ep = mittag_leffler(alpha, 1j * xa)
+        em = mittag_leffler(alpha, -1j * xa)
+        fallbacks += _ml_float(alpha, 1j * xa) is None
         sin_a = ((ep - em) / 2j).real
         cos_a = ((ep + em) / 2.0).real
         want = {"sin": sin_a, "cos": cos_a}
@@ -254,12 +257,11 @@ def test_generalized_at_zero():
 def test_generalized_hyperbolic_identity():
     """cosh_a^2 - sinh_a^2 = E_a(x^a) * E_a(-x^a) -- not the classical 1."""
     for alpha in (0.4, 0.7, 0.95):
-        spec = MLSeriesSpec(alpha)
         for x in (0.3, 1.0, 2.5):
             c = generalized_fn("cosh", alpha, x)
             s = generalized_fn("sinh", alpha, x)
-            prod = mittag_leffler(spec, x ** alpha) * \
-                mittag_leffler(spec, -(x ** alpha))
+            prod = mittag_leffler(alpha, x ** alpha) * \
+                mittag_leffler(alpha, -(x ** alpha))
             assert abs(c * c - s * s - prod) < 1e-10
 
 
@@ -281,24 +283,24 @@ def test_generalized_unknown_name():
 # --- power rule -----------------------------------------------------------
 
 def test_power_rule_classical():
-    assert jumarie_power_rule(1.0, PowerLawTerm(2.0), 3.0) == pytest.approx(6.0)
+    assert jumarie_power_rule(1.0, 2.0, 3.0) == pytest.approx(6.0)
 
 
 def test_power_rule_half():
-    assert jumarie_power_rule(0.5, PowerLawTerm(1.0), 1.0) == pytest.approx(
+    assert jumarie_power_rule(0.5, 1.0, 1.0) == pytest.approx(
         1.1283791670955126, abs=1e-14)
-    assert jumarie_power_rule(0.5, PowerLawTerm(0.5), 1.0) == pytest.approx(
+    assert jumarie_power_rule(0.5, 0.5, 1.0) == pytest.approx(
         0.8862269254527580, abs=1e-14)
 
 
 def test_power_rule_gamma_pole():
     with pytest.raises(GammaPole):
-        jumarie_power_rule(2.0, PowerLawTerm(1.0), 1.0)
+        jumarie_power_rule(2.0, 1.0, 1.0)
 
 
-def test_power_law_term_validation():
-    with pytest.raises(ValueError):
-        PowerLawTerm(0.0)
+def test_power_rule_exponent_validation():
+    with pytest.raises(ValueError, match="exponent"):
+        jumarie_power_rule(0.5, 0.0, 1.0)
 
 
 # --- quadrature -----------------------------------------------------------
@@ -322,7 +324,7 @@ def test_quadrature_square():
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
 def test_quadrature_agrees_with_power_rule(alpha, gamma, x):
-    want = jumarie_power_rule(alpha, PowerLawTerm(gamma), x)
+    want = jumarie_power_rule(alpha, gamma, x)
     got = jumarie_quadrature(lambda s: s ** gamma, alpha, x)
     assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
@@ -332,7 +334,7 @@ def test_quadrature_agrees_with_power_rule(alpha, gamma, x):
 def test_quadrature_converges_on_the_finest_levels(alpha, gamma, x):
     """These refinements stop at n = 16384 or 32768, where a grading capped
     only at g = 4 put the last nodes on y and the refinement never agreed."""
-    want = jumarie_power_rule(alpha, PowerLawTerm(gamma), x)
+    want = jumarie_power_rule(alpha, gamma, x)
     got = jumarie_quadrature(lambda s: s ** gamma, alpha, x)
     assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
