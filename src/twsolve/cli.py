@@ -363,18 +363,12 @@ def cmd_figure(args) -> int:
         # sigma < 0, so the first family is Tanh
         s = r.solutions(r.branches[0], params, alpha=alpha, sigma=args.sigma,
                         a0=args.a0)[0]
-        u_at = {}       # xi repeats across (x, t); one sheet, one solution
-        lines = []
-        xs = _axis(xg)
-        for i, t in enumerate(_axis(tg)):
-            for j, x in enumerate(xs):
-                xi = (a + j * b + i * d) / den
-                u = u_at.get(xi)
-                if u is None:
-                    u = u_at[xi] = s.u_of_xi(xi)
-                cols = (x, t, u) if alpha is None else (x, t, alpha, u)
-                lines.append(",".join(FMT % v for v in cols))
-        return lines
+        xis = [[(a + j * b + i * d) / den for j in range(xg[2])] for i in range(tg[2])]
+        u_at = dict.fromkeys(xi for row in xis for xi in row)   # each distinct xi once
+        u_at.update(zip(u_at, s.u_on(list(u_at)).tolist()))
+        xs, alpha_col = _axis(xg), (() if alpha is None else (alpha,))
+        return [",".join(FMT % v for v in (x, t, *alpha_col, u_at[xi]))
+                for t, row in zip(_axis(tg), xis) for x, xi in zip(xs, row)]
 
     if method == "subeq":
         sheets = [(alpha, "x,t,alpha,u\n" + "\n".join(rows_for(alpha)) + "\n")
@@ -397,16 +391,15 @@ def cmd_figure(args) -> int:
 def cmd_tabulate(args) -> int:
     if not 0 < args.alpha < math.inf:
         raise CliError(f"--alpha must be finite and positive, got {args.alpha:g}")
-    lines = ["x,value"]
-    for x in _axis(_parse_grid(args.grid, (0.0, 5.0, 51))):
-        if args.fn == "ml":
-            v = mittag_leffler(args.alpha, x)
-        else:
-            try:
-                v = generalized_fn(args.fn, args.alpha, x)
-            except ZeroDivisionError:
-                continue
-        lines.append(f"{FMT % x},{FMT % v}")
+    xs = _axis(_parse_grid(args.grid, (0.0, 5.0, 51)))
+    if args.fn == "ml":
+        vs = [mittag_leffler(args.alpha, x) for x in xs]
+    elif min(xs) < 0:
+        raise CliError(f"{args.fn} takes x >= 0 (x^alpha), got --grid {args.grid!r}")
+    else:
+        vs = generalized_fn(args.fn, args.alpha, xs).tolist()
+    # NaN marks a pole of a generalized function; the point is left out
+    lines = ["x,value"] + [f"{FMT % x},{FMT % v}" for x, v in zip(xs, vs) if not math.isnan(v)]
     _emit("\n".join(lines), args.out)
     return 0
 

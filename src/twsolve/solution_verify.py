@@ -24,7 +24,7 @@ from .travelling_wave import (
     FRAME_SYMBOLS, FRAME_SYMBOLS_FRACTIONAL, ReducedOde, frame_symbol,
 )
 from .special_fn import (
-    DomainGuardExceeded, PoleAt, generalized_fn, jumarie_mesh, jumarie_quadrature,
+    DomainGuardExceeded, generalized_fn, jumarie_mesh, jumarie_quadrature,
 )
 
 CONSTRAINT_TOL = 1e-12
@@ -77,16 +77,16 @@ class ClosedFormSolution:
         if self.family == "Rational" and self.sigma != 0:
             raise ValueError("Rational family requires sigma = 0")
 
-    def phi(self, xi: float) -> float:
-        """phi(xi); odd extension for xi < 0 (every base function is odd)."""
-        xi = xi + self.xi_shift
+    def phi_on(self, xis) -> np.ndarray:
+        """phi at each xi of a 1-D array, as the float that one xi gives, NaN
+        at a pole; odd extension for xi < 0 (every base function is odd)."""
+        xi = np.asarray(xis, dtype=float) + self.xi_shift
         odd = xi < 0
-        if odd:
-            xi = -xi
-        if self.variant == "classical" and self.family == "Tanh":
-            v = math.tanh(xi)
-        elif self.variant == "classical" and self.family == "Coth":
-            v = 1.0 / math.tanh(xi)
+        xi = np.where(odd, -xi, xi)
+        if self.variant == "classical" and self.family in HYPERBOLIC_FAMILIES:
+            v = np.array([math.tanh(x) for x in xi.tolist()])
+            if self.family == "Coth":
+                v = 1.0 / np.where(v == 0, np.nan, v)
         elif self.family in HYPERBOLIC_FAMILIES:
             r = math.sqrt(-float(self.sigma))
             name = "tanh" if self.family == "Tanh" else "coth"
@@ -96,18 +96,24 @@ class ClosedFormSolution:
             v = (r * generalized_fn("tan", self.alpha, r * xi) if self.family == "Tan"
                  else -r * generalized_fn("cot", self.alpha, r * xi))
         else:
-            den = xi ** self.alpha + self.omega
-            if abs(den) < 1e-13:
-                raise PoleAt(xi)
-            v = -math.gamma(1.0 + self.alpha) / den
-        return -v if odd else v
+            den = np.array([x ** self.alpha for x in xi.tolist()]) + float(self.omega)
+            v = -math.gamma(1.0 + self.alpha) / np.where(np.abs(den) < 1e-13, np.nan, den)
+        return np.where(odd, -v, v)
 
-    def u_of_xi(self, xi: float) -> float:
-        p = self.phi(xi)
-        total = 0.0
+    def u_on(self, xis) -> np.ndarray:
+        """u at each xi of a 1-D array, NaN at a pole of phi."""
+        p, total = self.phi_on(xis), 0.0
         for a in reversed(self.coefficients):
             total = total * p + float(a)
         return total
+
+    def phi(self, xi: float) -> float:
+        """phi_on at one xi."""
+        return self.phi_on([xi])[0].item()
+
+    def u_of_xi(self, xi: float) -> float:
+        """u_on at one xi."""
+        return self.u_on([xi])[0].item()
 
     def pole_distance(self, xi: float) -> float:
         """Distance in xi to the nearest real pole of phi (inf for Tanh)."""
@@ -286,27 +292,15 @@ def _report_from_R(R: Poly, s: ClosedFormSolution, grid, form: str) -> ResidualR
     deg = max(uni) if uni else 0
     cs = [float(uni.get(d, Poly()).constant_value()) if d in uni else 0.0
           for d in range(deg + 1)]
-    vals = []
-    excluded = []
-    for xi in pts:
-        if s.pole_distance(xi) < POLE_EXCLUSION_RADIUS:
-            excluded.append(xi)
-            continue
-        try:
-            p = s.phi(xi)
-        except PoleAt:
-            excluded.append(xi)
-            continue
-        if not math.isfinite(p):
-            excluded.append(xi)
-            continue
-        r = 0.0
-        for c in reversed(cs):
-            r = r * p + c
-        vals.append(abs(r))
-    if not vals:
+    near = np.array([s.pole_distance(xi) < POLE_EXCLUSION_RADIUS for xi in pts], bool)
+    p = np.full(len(pts), np.nan)
+    p[~near] = s.phi_on(pts[~near])
+    ok, r = np.isfinite(p), 0.0
+    for c in reversed(cs):
+        r = r * p[ok] + c
+    if not ok.any():
         raise PoleOnGrid("every grid point fell inside a pole exclusion zone")
-    return _report(vals, grid, excluded, form)
+    return _report(np.abs(r).tolist(), grid, pts[~ok].tolist(), form)
 
 
 def residual_pde(s: ClosedFormSolution, p: PdeDefinition,
@@ -342,7 +336,7 @@ def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
     margin take the level's linear extension."""
     delta = X / 100.0
     nodes = np.linspace(delta, X, 97)
-    levels = [np.array([s.u_of_xi(x) for x in nodes])]
+    levels = [s.u_on(nodes)]
     margin = 2.0 * (nodes[1] - nodes[0])
     inner = (nodes > margin) & (nodes < X - margin)
     mesh = jumarie_mesh(s.alpha, nodes[inner], X=float(X), n0=256) if max_j else None
@@ -405,15 +399,12 @@ def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport
     X = 1.25 * grid[1]
     sig = float(s.sigma)
 
-    def phi(t):
-        return np.array([s.phi(v) for v in t.ravel().tolist()]).reshape(t.shape)
-
     pts = _grid_points(grid)
     # single-shot product integration: phi ~ xi^alpha near 0, whose kink
     # keeps the adaptive refinement test from ever settling
-    d = jumarie_quadrature(phi, s.alpha, pts, X=X, max_refine=0, n0=512)
-    res = [abs(dv - (sig + p * p))
-           for dv, p in zip(d.tolist(), map(s.phi, pts.tolist()))]
+    d = jumarie_quadrature(lambda t: s.phi_on(t.ravel()).reshape(t.shape),
+                           s.alpha, pts, X=X, max_refine=0, n0=512)
+    res = [abs(dv - (sig + p * p)) for dv, p in zip(d.tolist(), s.phi_on(pts).tolist())]
     return _report(res, grid, (), "fractionalRiccati")
 
 
@@ -424,11 +415,11 @@ def alpha_limit_check(sol_classical: ClosedFormSolution,
     if sol_classical.family != "Tanh":
         raise FamilyMismatch("classical-limit check is defined for the Tanh family")
     pts = _grid_points(grid)
-    base = [sol_classical.u_of_xi(x) for x in pts]
+    base = sol_classical.u_on(pts)
     out = {}
     for alpha in alphas:
         sa = sol_fractional(alpha)
         if sa.family != sol_classical.family or not (sa.sigma < 0):
             raise FamilyMismatch("fractional counterpart must be a Tanh family, sigma < 0")
-        out[alpha] = max(abs(sa.u_of_xi(x) - b) for x, b in zip(pts, base))
+        out[alpha] = max(np.abs(sa.u_on(pts) - base).tolist())
     return out

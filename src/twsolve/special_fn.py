@@ -21,6 +21,7 @@ _FALLBACK_DIGITS = 30
 _FLOAT_REL_TOL = 1e-13      # accepted rounding-error bound of the float series
 _ML_TERM_TOL = 1e-16        # the series stops at a term below this share of the sum
 _QUAD_REL_TOL = 1e-6        # agreement of two quadrature refinements
+_ML_BLOCK = 24              # series terms summed per array step
 
 
 class DomainGuardExceeded(ValueError):
@@ -63,9 +64,9 @@ def _gamma_1p(alpha: float, k: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _inv_gamma_floats(alpha: float, terms: int) -> tuple:
+def _inv_gamma_floats(alpha: float, terms: int) -> np.ndarray:
     """1/Gamma(1 + k*alpha) rounded to float for k = 0..terms, cut before
-    the first entry below the normal float range."""
+    the first entry below the normal float range (read-only)."""
     out = []
     with mpmath.workdps(_FALLBACK_DIGITS):
         a = mpmath.mpf(alpha)
@@ -74,28 +75,47 @@ def _inv_gamma_floats(alpha: float, terms: int) -> tuple:
             if v < sys.float_info.min:
                 break
             out.append(v)
-    return tuple(out)
+    out = np.array(out)
+    out.flags.writeable = False
+    return out
 
 
-def _ml_float(alpha: float, z):
-    """The series in float (complex for complex z), or None unless it
-    converged to a finite sum whose rounding error, bounded by
-    4*k*eps*sum|t_k| over k terms, is within _FLOAT_REL_TOL of the sum."""
+def _ml_float(alpha: float, z: np.ndarray):
+    """The series in float at each element of the 1-D float or complex
+    array z: (sums, accepted).  Each element makes the scalar series' float
+    operations in their order, stops at its own first term below
+    _ML_TERM_TOL of the sum, and is accepted when the sum is finite and its
+    rounding error, bounded by 4*k*eps*sum|t_k| over k terms, is within
+    _FLOAT_REL_TOL of it.  Terms go _ML_BLOCK at a time along a second axis,
+    summed by accumulate (in order, unlike np.sum); complex z on Python
+    complex objects, as numpy's complex product and abs round differently."""
     inv = _inv_gamma_floats(alpha, _ML_TERMS)
-    total = size = power = 1.0
-    for k in range(1, len(inv)):
-        power *= z
-        term = power * inv[k]
-        total += term
-        mag = abs(term)
-        size += mag
-        if mag < _ML_TERM_TOL * max(abs(total), 1e-30):
-            break
-    else:
-        return None
-    if math.isfinite(size) and 4 * k * 2.0 ** -52 * size <= _FLOAT_REL_TOL * abs(total):
-        return total
-    return None
+    n, dtype = len(z), (object if np.iscomplexobj(z) else float)
+    sums, accepted, size = np.zeros(n, z.dtype), np.zeros(n, bool), np.ones(n)
+    live, zz = np.arange(n), z.astype(dtype)[:, None]
+    power = total = np.full(n, 1.0, dtype)
+
+    def run(op, first, block):      # first op block[0] op block[1] ..., in order
+        return op.accumulate(np.hstack((first[:, None], block)), axis=1)[:, 1:]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(1, len(inv), _ML_BLOCK):
+            f = inv[k0:k0 + _ML_BLOCK]
+            power = run(np.multiply, power, np.broadcast_to(zz, (len(live), len(f))))
+            terms = power * f
+            total, mag = run(np.add, total, terms), np.abs(terms).astype(float)
+            size, tot = run(np.add, size, mag), np.abs(total).astype(float)
+            stop = mag < _ML_TERM_TOL * np.maximum(tot, 1e-30)
+            hit = stop.any(axis=1)
+            rows, j = np.flatnonzero(hit), stop[hit].argmax(axis=1)
+            sums[live[rows]], s = total[rows, j], size[rows, j]
+            accepted[live[rows]] = np.isfinite(s) & (
+                4 * (k0 + j) * 2.0 ** -52 * s <= _FLOAT_REL_TOL * tot[rows, j])
+            live, zz = live[~hit], zz[~hit]
+            power, total, size = power[~hit, -1], total[~hit, -1], size[~hit, -1]
+            if not len(live):
+                break
+    return sums, accepted
 
 
 def _top(z):
@@ -112,11 +132,15 @@ def mittag_leffler(alpha: float, z: complex, guard: float = DEFAULT_GUARD) -> co
     imaginary z.  |z| beyond `guard` is refused."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if abs(z) > guard:
-        raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {guard:g}")
-    fast = _ml_float(alpha, z)
-    if fast is not None:
-        return fast
+    errors = {}
+    v = _ml_grid(alpha, np.array([z], np.result_type(z, 0.0)), guard, errors)
+    if errors:
+        raise errors[0]
+    return v[0].item()
+
+
+def _ml_fallback(alpha: float, z: complex) -> complex:
+    """The series in mpmath, for a z whose float sum is not certified."""
     # cancellation for negative/complex z eats ~|z|^(1/alpha)*log10(e) digits;
     # widen the working precision accordingly (capped).  The loop works on
     # raw libmp parts with the operations, precision and rounding that the
@@ -157,49 +181,71 @@ def mittag_leffler(alpha: float, z: complex, guard: float = DEFAULT_GUARD) -> co
     return result
 
 
+def _ml_grid(alpha: float, z: np.ndarray, guard: float, errors: dict) -> np.ndarray:
+    """mittag_leffler at each element of the 1-D array z, valid if `errors`
+    (index -> the element's first exception) stays empty; no fallback runs
+    past the first element with an error."""
+    size = np.hypot(z.real, z.imag)        # abs() of each element
+    for i in np.flatnonzero(size > guard):
+        errors.setdefault(i, DomainGuardExceeded(f"|z| = {size[i]:g} exceeds guard {guard:g}"))
+    out, accepted = _ml_float(alpha, np.where(size > guard, 0, z))
+    for i in np.flatnonzero(~accepted):
+        if i >= min(errors, default=len(z)):
+            break
+        try:
+            out[i] = _ml_fallback(alpha, z[i].item())
+        except NonConvergence as e:
+            errors[i] = e
+    return out
+
+
+def _power(x: float, alpha: float) -> float:
+    try:
+        return x ** alpha       # libm's pow, as the scalar code takes it
+    except OverflowError:       # beyond every guard: the series refuses it
+        return math.inf
+
+
 GENERALIZED_FN_NAMES = ("sinh", "cosh", "tanh", "coth", "sin", "cos", "tan", "cot")
 
 
-def generalized_fn(name: str, alpha: float, x: float) -> float:
+def generalized_fn(name: str, alpha: float, x):
     """Generalized hyperbolic/trig functions: cosh_alpha(x) = E_2alpha(x^2alpha),
     sinh_alpha(x) = E_alpha(x^alpha) - cosh_alpha(x), and the trig family from
     E_alpha(+/- i x^alpha), reducing to the classical functions at alpha = 1.
-    Requires x >= 0 since the argument enters as x^alpha."""
+    Requires x >= 0 since the argument enters as x^alpha.  An array x gives
+    each element's float value, NaN where a float raises PoleAt, and raises
+    the guard or convergence error of its first element that has one."""
     if name not in GENERALIZED_FN_NAMES:
         raise ValueError(f"unknown generalized function {name!r}")
-    if x < 0:
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs < 0):
         raise ValueError("generalized functions take x >= 0")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    try:
-        xa = x ** alpha
-    except OverflowError:       # beyond every guard: mittag_leffler refuses it
-        xa = math.inf
-    if name in ("sinh", "cosh", "tanh", "coth"):
-        # cosh_a(x) = E_2a(x^2a) holds the even terms of E_a(x^a), so both
-        # series sum positive terms and E_a(-x^a) is never formed
-        ep = mittag_leffler(alpha, xa)
-        cosh_a = mittag_leffler(2 * alpha, xa * xa, guard=DEFAULT_GUARD ** 2)
-        sinh_a = ep - cosh_a
-        if name == "sinh":
-            return sinh_a
-        if name == "cosh":
-            return cosh_a
-        num, den = (sinh_a, cosh_a) if name == "tanh" else (cosh_a, sinh_a)
-    else:
-        # E_a(-i t) is the conjugate of E_a(i t), bit for bit on both paths
-        ep = mittag_leffler(alpha, 1j * xa)
-        em = ep.conjugate()
-        sin_a = ((ep - em) / 2j).real
-        cos_a = ((ep + em) / 2.0).real
-        if name == "sin":
-            return sin_a
-        if name == "cos":
-            return cos_a
-        num, den = (sin_a, cos_a) if name == "tan" else (cos_a, sin_a)
-    if abs(den) < _POLE_TOL:
+    xa = np.array([_power(v, alpha) for v in xs.tolist()])
+    errors = {}
+    with np.errstate(over="ignore", invalid="ignore"):    # as Python floats: inf, nan
+        if name in ("sinh", "cosh", "tanh", "coth"):
+            # cosh_a(x) = E_2a(x^2a) holds the even terms of E_a(x^a), so both
+            # series sum positive terms and E_a(-x^a) is never formed
+            ep = _ml_grid(alpha, xa, DEFAULT_GUARD, errors)
+            even = _ml_grid(2 * alpha, xa * xa, DEFAULT_GUARD ** 2, errors)
+            odd = ep - even
+        else:
+            # E_a(-i t) is the conjugate of E_a(i t), so (E_a(i t) -/+
+            # E_a(-i t)) / 2(i) are exactly the parts of E_a(i t)
+            ep = _ml_grid(alpha, 1j * xa, DEFAULT_GUARD, errors)
+            odd, even = ep.imag, ep.real
+        if errors:
+            raise errors[min(errors)]
+        kind = GENERALIZED_FN_NAMES.index(name) % 4   # odd, even, odd/even, even/odd
+        num, den = (odd, even) if kind % 2 == 0 else (even, odd)
+        pole = (kind > 1) & (np.abs(den) < _POLE_TOL)
+        v = num / np.where(pole, np.nan, den) if kind > 1 else num
+    if np.ndim(x) == 0 and pole[0]:
         raise PoleAt(x)
-    return num / den
+    return v if np.ndim(x) else v[0].item()
 
 
 def jumarie_power_rule(alpha: float, gamma: float, x: float) -> float:

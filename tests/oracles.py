@@ -1,9 +1,11 @@
 """Independent references for the test suite: a numeric root finder and a
 sympy solver for coefficient systems, the Jumarie quadrature as a scalar
-loop, and the Mittag-Leffler series with its fallback on mpmath's number
-objects.  None is part of twsolve; each checks one of its exact, vectorised
-or raw paths.  sympy is imported inside the two functions that use it, so
-the other oracles load where sympy is missing."""
+loop, the Mittag-Leffler series with its fallback on mpmath's number
+objects, and the float series, the generalized functions and phi of a
+closed-form solution as the scalar per-point code they replaced.  None is
+part of twsolve; each checks one of its exact, vectorised or raw paths.
+sympy is imported inside the two functions that use it, so the other
+oracles load where sympy is missing."""
 from __future__ import annotations
 
 import math
@@ -15,8 +17,9 @@ import numpy as np
 from twsolve import CoefficientSystem, NonConvergence, special_fn
 from twsolve.rational_poly import RationalFn
 from twsolve.special_fn import (
-    _FALLBACK_DIGITS, _ML_TERM_TOL, DEFAULT_GUARD, DomainGuardExceeded,
-    _gamma_1p, _ml_float,
+    _FALLBACK_DIGITS, _FLOAT_REL_TOL, _ML_TERM_TOL, _POLE_TOL, DEFAULT_GUARD,
+    GENERALIZED_FN_NAMES, DomainGuardExceeded, PoleAt, _gamma_1p,
+    _inv_gamma_floats, _ml_fallback,
 )
 
 
@@ -163,6 +166,29 @@ def scalar_quadrature(f, alpha, x, X, max_refine=9, n0=64):
     raise NonConvergence("quadrature refinement cap reached")
 
 
+def scalar_ml_float(alpha: float, z):
+    """The float series at one z as a scalar loop, or None unless it
+    converged to a finite sum whose rounding error, bounded by
+    4*k*eps*sum|t_k| over k terms, is within _FLOAT_REL_TOL of the sum: the
+    reference that the array kernel `special_fn._ml_float` must reproduce
+    bit for bit, in values and in the accept decision."""
+    inv = _inv_gamma_floats(alpha, special_fn._ML_TERMS).tolist()
+    total = size = power = 1.0
+    for k in range(1, len(inv)):
+        power *= z
+        term = power * inv[k]
+        total += term
+        mag = abs(term)
+        size += mag
+        if mag < _ML_TERM_TOL * max(abs(total), 1e-30):
+            break
+    else:
+        return None
+    if math.isfinite(size) and 4 * k * 2.0 ** -52 * size <= _FLOAT_REL_TOL * abs(total):
+        return total
+    return None
+
+
 def operator_mittag_leffler(alpha: float, z: complex,
                             guard: float = DEFAULT_GUARD) -> complex:
     """`special_fn.mittag_leffler` with its fallback written with mpmath's
@@ -170,7 +196,7 @@ def operator_mittag_leffler(alpha: float, z: complex,
     reproduce bit for bit."""
     if abs(z) > guard:
         raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {guard:g}")
-    fast = _ml_float(alpha, z)
+    fast = scalar_ml_float(alpha, z)
     if fast is not None:
         return fast
     # cancellation for negative/complex z eats ~|z|^(1/alpha)*log10(e) digits;
@@ -192,3 +218,91 @@ def operator_mittag_leffler(alpha: float, z: complex,
     if abs(result.imag) < 1e-30 and isinstance(z, (int, float)):
         return result.real
     return result
+
+
+def scalar_mittag_leffler(alpha: float, z, guard: float = DEFAULT_GUARD):
+    """`special_fn.mittag_leffler` at one z with the scalar float loop."""
+    if abs(z) > guard:
+        raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {guard:g}")
+    fast = scalar_ml_float(alpha, z)
+    return _ml_fallback(alpha, z) if fast is None else fast
+
+
+def scalar_generalized_fn(name: str, alpha: float, x: float) -> float:
+    """`special_fn.generalized_fn` at one x as the scalar code it replaced,
+    the trig parts taken with E_a(-i t) formed as the conjugate."""
+    if name not in GENERALIZED_FN_NAMES:
+        raise ValueError(f"unknown generalized function {name!r}")
+    if x < 0:
+        raise ValueError("generalized functions take x >= 0")
+    try:
+        xa = x ** alpha
+    except OverflowError:
+        xa = math.inf
+    if name in ("sinh", "cosh", "tanh", "coth"):
+        ep = scalar_mittag_leffler(alpha, xa)
+        cosh_a = scalar_mittag_leffler(2 * alpha, xa * xa, guard=DEFAULT_GUARD ** 2)
+        odd, even = ep - cosh_a, cosh_a
+    else:
+        ep = scalar_mittag_leffler(alpha, 1j * xa)
+        em = ep.conjugate()
+        odd, even = ((ep - em) / 2j).real, ((ep + em) / 2.0).real
+    kind = GENERALIZED_FN_NAMES.index(name) % 4
+    if kind < 2:
+        return (odd, even)[kind]
+    num, den = (odd, even) if kind == 2 else (even, odd)
+    if abs(den) < _POLE_TOL:
+        raise PoleAt(x)
+    return num / den
+
+
+def scalar_phi(s, xi: float) -> float:
+    """`ClosedFormSolution.phi` at one xi as the scalar code it replaced,
+    which raised at a pole."""
+    xi = xi + s.xi_shift
+    odd = xi < 0
+    if odd:
+        xi = -xi
+    if s.variant == "classical" and s.family == "Tanh":
+        v = math.tanh(xi)
+    elif s.variant == "classical" and s.family == "Coth":
+        v = 1.0 / math.tanh(xi)
+    elif s.family in ("Tanh", "Coth"):
+        r = math.sqrt(-float(s.sigma))
+        name = "tanh" if s.family == "Tanh" else "coth"
+        v = -r * scalar_generalized_fn(name, s.alpha, r * xi)
+    elif s.family in ("Tan", "Cot"):
+        r = math.sqrt(float(s.sigma))
+        v = (r * scalar_generalized_fn("tan", s.alpha, r * xi) if s.family == "Tan"
+             else -r * scalar_generalized_fn("cot", s.alpha, r * xi))
+    else:
+        den = xi ** s.alpha + s.omega
+        if abs(den) < 1e-13:
+            raise PoleAt(xi)
+        v = -math.gamma(1.0 + s.alpha) / den
+    return -v if odd else v
+
+
+def per_point_phi(s, xis) -> np.ndarray:
+    """phi of a closed-form solution as a loop of `scalar_phi` over the
+    points, NaN where it raised at a pole: the reference for
+    `ClosedFormSolution.phi_on`."""
+    out = []
+    for xi in xis:
+        try:
+            out.append(scalar_phi(s, xi))
+        except ZeroDivisionError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def per_point_u(s, xis) -> np.ndarray:
+    """u = sum a_i phi^i as a loop over the points: the reference for
+    `ClosedFormSolution.u_on`."""
+    out = []
+    for p in per_point_phi(s, xis).tolist():
+        total = 0.0
+        for a in reversed(s.coefficients):
+            total = total * p + float(a)
+        out.append(total)
+    return np.array(out)

@@ -138,6 +138,7 @@ TRACED_COMMANDS = (
     ("solve", "pde kdv vars(x,t) params() : u_t + u*u_x + u_xxx = 0",
      "--params", "k=1/2,c=-3/4"),
     ("tabulate", "tan", "--alpha", "0.6"),
+    ("tabulate", "cot", "--alpha", "0.9", "--grid", "0:1:3"),
 )
 
 
@@ -223,11 +224,13 @@ def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
      "--alpha", "0.8"),
     ("figure", "2", "--sigma=-inf"),
     ("figure", "1", "--a0", "inf"),
+    ("tabulate", "tan", "--alpha", "0.7", "--grid=-1:1:3"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     def no_stage(*args, **kwargs):
         raise AssertionError("a pipeline stage ran on bad input")
-    monkeypatch.setattr(cli, "run", no_stage)
+    for stage in ("run", "generalized_fn", "mittag_leffler"):
+        monkeypatch.setattr(cli, stage, no_stage)
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out)["error"] == "CliError"

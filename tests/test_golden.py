@@ -117,6 +117,7 @@ CASES = {
     "error_tabulate_alpha": ["tabulate", "ml", "--alpha", "0"],
     "error_tabulate_alpha_overflow": ["tabulate", "tan", "--alpha", "1e308",
                                       "--grid", "0:2:3"],
+    "error_tabulate_negative_x": ["tabulate", "tan", "--alpha", "0.7", "--grid=-1:1:3"],
     "error_figure_sigma": ["figure", "2", "--sigma=1", *SMALL, "--alphas", "0.8"],
     "error_figure_alphas": ["figure", "4", *SMALL, "--alphas", "0.8,0"],
     "error_zero_power": ["solve", "pde toy vars(x,t) params() : u_xx = u^0*u_t"],

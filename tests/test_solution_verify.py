@@ -15,7 +15,7 @@ from twsolve import (
 )
 from twsolve.solution_verify import _fractional_levels
 
-from oracles import scalar_quadrature
+from oracles import per_point_phi, per_point_u, scalar_phi, scalar_quadrature
 from conftest import run_pipeline, BSQ_DSL, BSQ_FRAC_DSL
 
 CLASSICAL = SubEquationProfile.classical_tanh()
@@ -201,8 +201,11 @@ def test_fractional_levels_accuracy_on_jumarie_fixed_point(alpha, bounds):
     """u = E_alpha(xi^alpha) solves D^alpha u = u, so every derivative level
     should reproduce u.  The bounds state the operator's present maximum
     relative error over xi in (0.5, 4) with X = 5, for levels 1, 2, 3."""
-    s = SimpleNamespace(alpha=alpha,
-                        u_of_xi=lambda xi: mittag_leffler(alpha, float(xi) ** alpha))
+    def u_of_xi(xi):
+        return mittag_leffler(alpha, float(xi) ** alpha)
+
+    s = SimpleNamespace(alpha=alpha, u_of_xi=u_of_xi,
+                        u_on=lambda xis: np.array([u_of_xi(xi) for xi in xis]))
     nodes, levels = _fractional_levels(s, 3, 5.0)
     inside = (nodes > 0.5) & (nodes < 4.0)
     u = np.array([s.u_of_xi(xi) for xi in nodes[inside]])
@@ -210,12 +213,45 @@ def test_fractional_levels_accuracy_on_jumarie_fixed_point(alpha, bounds):
         assert np.max(np.abs(level[inside] - u) / u) <= bound
 
 
+def same_bits(a, b):
+    """Equal arrays bit for bit, where a NaN (a pole) matches any NaN."""
+    nan = np.isnan(a)
+    return (nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("family, variant, sigma, omega, alpha", [
+    ("Tanh", "alphaGeneralized", -1, 0.0, 0.7),
+    ("Coth", "alphaGeneralized", Fraction(-1, 2), 0.0, 0.6),
+    ("Tan", "alphaGeneralized", 1, 0.0, 0.6),
+    ("Cot", "alphaGeneralized", 2, 0.0, 0.9),
+    ("Rational", "alphaGeneralized", 0, 0.5, 0.8),
+    ("Rational", "alphaGeneralized", 0, -1.0, 0.8),      # poles at xi = +/-1
+    ("Tanh", "classical", -1, 0.0, 1.0),
+    ("Coth", "classical", -1, 0.0, 1.0),
+])
+@pytest.mark.parametrize("xi_shift", [0.0, 0.375])
+def test_phi_on_is_the_per_point_loop(family, variant, sigma, omega, alpha, xi_shift):
+    """phi_on and u_on give what the scalar per-point code gave, bit for bit,
+    with NaN where it raised at a pole; the grid holds xi < 0 and a pole
+    (Coth, Cot and Rational at xi + xi_shift = 0 or 1)."""
+    s = ClosedFormSolution(family, variant, (Fraction(1, 2), Fraction(1), Fraction(-2)),
+                           sigma=Fraction(sigma), omega=omega, alpha=alpha,
+                           xi_shift=xi_shift)
+    xis = np.concatenate((np.linspace(-6.0, 6.0, 49), [-xi_shift, 1.0 - xi_shift]))
+    phi, u = s.phi_on(xis), s.u_on(xis)
+    assert same_bits(phi, per_point_phi(s, xis.tolist()))
+    assert same_bits(u, per_point_u(s, xis.tolist()))
+    assert np.isnan(phi).any() == (family in ("Coth", "Cot") or omega < 0)
+    assert same_bits(np.array([s.phi(xi) for xi in xis[::7]]), phi[::7])
+    assert same_bits(np.array([s.u_of_xi(xi) for xi in xis[::7]]), u[::7])
+
+
 def per_node_levels(s, max_j, X):
     """_fractional_levels as a loop of scalar single-shot quadratures, one
     per node, each a scalar loop over cells: the reference that the array
     quadrature must reproduce bit for bit."""
     nodes = np.linspace(X / 100.0, X, 97)
-    levels = [np.array([s.u_of_xi(x) for x in nodes])]
+    levels = [per_point_u(s, nodes)]
     margin = 2.0 * (nodes[1] - nodes[0])
     for _ in range(max_j):
         prev = levels[-1]
@@ -275,10 +311,13 @@ def test_riccati_probe_is_the_per_point_loop(family, sigma, omega):
                            (Fraction(0), Fraction(1)),
                            sigma=Fraction(sigma), omega=omega, alpha=0.7)
 
+    def phi(xi):
+        return scalar_phi(s, xi)
+
     grid = (0.3, 1.2, 7)
-    res = [abs(scalar_quadrature(s.phi, s.alpha, float(xi), 1.5,
+    res = [abs(scalar_quadrature(phi, s.alpha, float(xi), 1.5,
                                  max_refine=0, n0=512)
-               - (float(s.sigma) + s.phi(float(xi)) ** 2))
+               - (float(s.sigma) + phi(float(xi)) ** 2))
            for xi in np.linspace(*grid)]
     rep = riccati_probe(s, grid=grid)
     assert rep.max_abs == max(res)
@@ -293,7 +332,7 @@ def test_riccati_probe_refuses_a_pole_at_zero(family, sigma, monkeypatch):
         raise AssertionError("evaluated before refusing")
 
     monkeypatch.setattr(solution_verify, "jumarie_quadrature", never)
-    monkeypatch.setattr(ClosedFormSolution, "phi", never)
+    monkeypatch.setattr(ClosedFormSolution, "phi_on", never)
     s = ClosedFormSolution(family, "alphaGeneralized",
                            (Fraction(0), Fraction(1)),
                            sigma=Fraction(sigma), alpha=0.5)

@@ -14,7 +14,10 @@ from twsolve import (
 from twsolve import special_fn
 from twsolve.special_fn import _ml_float
 
-from oracles import operator_mittag_leffler, scalar_quadrature
+from oracles import (
+    operator_mittag_leffler, scalar_generalized_fn, scalar_ml_float,
+    scalar_quadrature,
+)
 
 REF_DIGITS = 40
 
@@ -161,9 +164,9 @@ def test_ml_fallback_is_the_operator_loop(alpha):
     """The fallback on raw libmp parts, which decides most stopping tests
     from binary exponents, returns what the same series on mpf/mpc objects
     returns, bit for bit and of the same type."""
-    assert all(_ml_float(alpha, z) is None for z in FALLBACK_ZS)
+    assert all(scalar_ml_float(alpha, z) is None for z in FALLBACK_ZS)
     sweep = [1j * float(x) ** alpha for x in np.linspace(0.05, 5.0, 97)] + SWEEP_ZS
-    assert sum(_ml_float(alpha, z) is None for z in sweep) > len(sweep) // 2
+    assert sum(scalar_ml_float(alpha, z) is None for z in sweep) > len(sweep) // 2
     for z in FALLBACK_ZS + sweep:
         got, want = mittag_leffler(alpha, z), operator_mittag_leffler(alpha, z)
         assert type(got) is type(want), z
@@ -183,8 +186,86 @@ def test_ml_float_path_serves_hyperbolic_arguments():
     for alpha in (0.7, 0.8, 0.9, 1.0):
         for x in (0.0, 0.1, 1.0, 10.5):
             xa = x ** alpha
-            assert _ml_float(alpha, xa) is not None, (alpha, x)
-            assert _ml_float(2 * alpha, xa * xa) is not None, (alpha, x)
+            assert scalar_ml_float(alpha, xa) is not None, (alpha, x)
+            assert scalar_ml_float(2 * alpha, xa * xa) is not None, (alpha, x)
+
+
+def kernel_zs(seed):
+    """Real, purely imaginary and general complex arguments, each mixing
+    elements that the float series accepts with ones it leaves to the
+    fallback, and signed zeros, a tiny value and the guard's edge."""
+    rng = np.random.default_rng(seed)
+    real = np.concatenate(([0.0, -0.0, 1e-300, 50.0, -50.0, 2500.0],
+                           rng.uniform(-12.0, 12.0, 120)))
+    imag = 1j * np.concatenate(([0.0, 50.0, -3.0], rng.uniform(0.0, 12.0, 120)))
+    general = rng.uniform(-8.0, 8.0, 120) + 1j * rng.uniform(-8.0, 8.0, 120)
+    return real, imag, general
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.4, 2.0])
+def test_ml_float_kernel_is_the_scalar_loop(alpha):
+    """The array kernel takes each element's accept decision as the scalar
+    float loop does and, where it accepts, returns the loop's sum bit for
+    bit, of the loop's type (float for real z, complex otherwise)."""
+    mixed = 0
+    for zs in kernel_zs(round(alpha * 10)):
+        sums, accepted = _ml_float(alpha, zs)
+        want = [scalar_ml_float(alpha, z) for z in zs.tolist()]
+        assert accepted.tolist() == [w is not None for w in want]
+        got = sums[accepted].tolist()
+        assert [type(v) for v in got] == [type(w) for w in want if w is not None]
+        assert sums[accepted].tobytes() == np.array(
+            [w for w in want if w is not None], zs.dtype).tobytes()
+        mixed += 0 < accepted.sum() < len(zs)
+    assert mixed >= 2
+    sums, accepted = _ml_float(alpha, np.array([]))
+    assert len(sums) == len(accepted) == 0
+
+
+def grid_outcome(f, *args):
+    """f(*args) as its value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:      # noqa: BLE001 - the outcome is compared
+        return type(e), str(e)
+
+
+def scalar_grid(name, alpha, xs):
+    """generalized_fn over a grid as the scalar loop: NaN at a pole, and
+    the first error in input order raised."""
+    out = []
+    for x in xs:
+        try:
+            out.append(scalar_generalized_fn(name, alpha, x))
+        except PoleAt:
+            out.append(math.nan)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name, alpha, xs", [
+    ("tanh", 0.8, [0.0, 0.5, 3.0, 10.5]),
+    ("coth", 0.7, [0.0, 2.0, 1e5, 4.0]),              # pole, then the guard
+    ("cosh", 2.0, [1.0, 2.0 ** 1000, 7.5]),          # x^alpha overflows
+    ("tan", 0.6, [0.0, 1.0, 5.0, 9.0]),               # fallbacks mixed in
+    ("cot", 0.9, [0.0, 1.0, 2.0]),                    # pole at 0
+    ("tan", 0.5, [1.0, 1600.0, 1e6]),                 # NonConvergence first
+    ("sin", 0.5, [1.0, 1e6, 1600.0]),                 # the guard first
+    ("cos", 0.6, [2.0, 0.0]),
+])
+def test_generalized_fn_grid_is_the_scalar_loop(name, alpha, xs):
+    """An array x gives what the scalar loop gives, bit for bit, with NaN
+    where a scalar call raises PoleAt; a grid whose first failing element
+    raises DomainGuardExceeded or NonConvergence raises that error."""
+    got = grid_outcome(generalized_fn, name, alpha, np.array(xs))
+    want = grid_outcome(scalar_grid, name, alpha, xs)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.tobytes() == want.tobytes()
+        for x, v in zip(xs, want.tolist()):
+            if math.isnan(v):
+                with pytest.raises(PoleAt):
+                    generalized_fn(name, alpha, x)
 
 
 # --- generalized functions ------------------------------------------------
@@ -210,23 +291,23 @@ def test_generalized_small_x_absolute_error():
 def test_generalized_trig_fallback_matches_reference():
     """tan_0.6(5) sums E_0.6(+/- 2.63i) with cancellation, so the mpmath
     series serves it."""
-    assert _ml_float(0.6, 1j * 5.0 ** 0.6) is None
+    assert scalar_ml_float(0.6, 1j * 5.0 ** 0.6) is None
     want = generalized_ref(0.6, 5.0, trig=True)["tan"]
     assert rel_err(generalized_fn("tan", 0.6, 5.0), want) <= 1e-13
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.7, 0.8, 0.9])
 def test_generalized_trig_equals_two_series_formula(alpha):
-    """The trig family takes E_a(-i t) as the conjugate of E_a(i t).  Its
-    values equal the formula with both series summed, bit for bit, on the
-    float path and on the mpmath fallback."""
+    """The trig family takes sin_a and cos_a as the parts of E_a(i t).
+    Its values equal the formula with both series summed, bit for bit, on
+    the float path and on the mpmath fallback."""
     fallbacks = 0
     for i in range(151):
         x = i / 25
         xa = x ** alpha
         ep = mittag_leffler(alpha, 1j * xa)
         em = mittag_leffler(alpha, -1j * xa)
-        fallbacks += _ml_float(alpha, 1j * xa) is None
+        fallbacks += scalar_ml_float(alpha, 1j * xa) is None
         sin_a = ((ep - em) / 2j).real
         cos_a = ((ep + em) / 2.0).real
         want = {"sin": sin_a, "cos": cos_a}
@@ -252,6 +333,11 @@ def test_generalized_at_zero():
     for alpha in (0.5, 0.8, 1.0):
         assert generalized_fn("sinh", alpha, 0.0) == pytest.approx(0.0, abs=1e-14)
         assert generalized_fn("cosh", alpha, 0.0) == pytest.approx(1.0, abs=1e-14)
+        # the zeros keep the sign that the two-series formula gives them
+        for name in ("sin", "cos", "tan", "sinh", "tanh"):
+            assert generalized_fn(name, alpha, 0.0).hex() == \
+                scalar_generalized_fn(name, alpha, 0.0).hex() == \
+                (1.0 if name in ("cos", "cosh") else 0.0).hex(), name
 
 
 def test_generalized_hyperbolic_identity():
