@@ -393,7 +393,7 @@ def cmd_tabulate(args) -> int:
         raise CliError(f"--alpha must be finite and positive, got {args.alpha:g}")
     xs = _axis(_parse_grid(args.grid, (0.0, 5.0, 51)))
     if args.fn == "ml":
-        vs = [mittag_leffler(args.alpha, x) for x in xs]
+        vs = mittag_leffler(args.alpha, tuple(xs)).tolist()
     elif min(xs) < 0:
         raise CliError(f"{args.fn} takes x >= 0 (x^alpha), got --grid {args.grid!r}")
     else:

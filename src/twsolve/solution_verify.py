@@ -24,7 +24,7 @@ from .travelling_wave import (
     FRAME_SYMBOLS, FRAME_SYMBOLS_FRACTIONAL, ReducedOde, frame_symbol,
 )
 from .special_fn import (
-    DomainGuardExceeded, generalized_fn, jumarie_mesh, jumarie_quadrature,
+    DomainGuardExceeded, PoleAt, generalized_fn, jumarie_mesh, jumarie_quadrature,
 )
 
 CONSTRAINT_TOL = 1e-12
@@ -77,10 +77,12 @@ class ClosedFormSolution:
         if self.family == "Rational" and self.sigma != 0:
             raise ValueError("Rational family requires sigma = 0")
 
-    def phi_on(self, xis) -> np.ndarray:
-        """phi at each xi of a 1-D array, as the float that one xi gives, NaN
-        at a pole; odd extension for xi < 0 (every base function is odd)."""
-        xi = np.asarray(xis, dtype=float) + self.xi_shift
+    def phi(self, xi):
+        """phi(xi); for a tuple of xi, the 1-D array of what each one gives
+        (a tuple, so that a call's arguments stay hashable).  NaN at a pole;
+        odd extension for xi < 0 (every base function is odd)."""
+        grid = isinstance(xi, tuple)
+        xi = np.array(xi if grid else (xi,), dtype=float) + self.xi_shift
         odd = xi < 0
         xi = np.where(odd, -xi, xi)
         if self.variant == "classical" and self.family in HYPERBOLIC_FAMILIES:
@@ -98,18 +100,15 @@ class ClosedFormSolution:
         else:
             den = np.array([x ** self.alpha for x in xi.tolist()]) + float(self.omega)
             v = -math.gamma(1.0 + self.alpha) / np.where(np.abs(den) < 1e-13, np.nan, den)
-        return np.where(odd, -v, v)
+        v = np.where(odd, -v, v)
+        return v if grid else v[0].item()
 
     def u_on(self, xis) -> np.ndarray:
-        """u at each xi of a 1-D array, NaN at a pole of phi."""
-        p, total = self.phi_on(xis), 0.0
+        """u at each xi of a 1-D sequence, NaN at a pole of phi."""
+        p, total = self.phi(tuple(np.asarray(xis, dtype=float).tolist())), 0.0
         for a in reversed(self.coefficients):
             total = total * p + float(a)
         return total
-
-    def phi(self, xi: float) -> float:
-        """phi_on at one xi."""
-        return self.phi_on([xi])[0].item()
 
     def u_of_xi(self, xi: float) -> float:
         """u_on at one xi."""
@@ -294,7 +293,7 @@ def _report_from_R(R: Poly, s: ClosedFormSolution, grid, form: str) -> ResidualR
           for d in range(deg + 1)]
     near = np.array([s.pole_distance(xi) < POLE_EXCLUSION_RADIUS for xi in pts], bool)
     p = np.full(len(pts), np.nan)
-    p[~near] = s.phi_on(pts[~near])
+    p[~near] = s.phi(tuple(pts[~near].tolist()))
     ok, r = np.isfinite(p), 0.0
     for c in reversed(cs):
         r = r * p[ok] + c
@@ -328,6 +327,13 @@ def residual_ode(s: ClosedFormSolution, o: ReducedOde, *,
 FRACTIONAL_GRID = (0.5, 4.0, 15)
 
 
+def _no_pole(xis, vals):
+    """vals, unless one is NaN: a pole of phi, refused at its xi."""
+    if np.isnan(vals).any():
+        raise PoleAt(xis[np.isnan(vals).argmax()].item())
+    return vals
+
+
 def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
     """levels[j][i] ~ u^{(j*alpha)} at the dense nodes; each level is one
     array Jumarie quadrature, over every node more than two spacings from
@@ -336,7 +342,7 @@ def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
     margin take the level's linear extension."""
     delta = X / 100.0
     nodes = np.linspace(delta, X, 97)
-    levels = [s.u_on(nodes)]
+    levels = [_no_pole(nodes, s.u_on(nodes))]
     margin = 2.0 * (nodes[1] - nodes[0])
     inner = (nodes > margin) & (nodes < X - margin)
     mesh = jumarie_mesh(s.alpha, nodes[inner], X=float(X), n0=256) if max_j else None
@@ -399,12 +405,15 @@ def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport
     X = 1.25 * grid[1]
     sig = float(s.sigma)
 
+    def phi(t):         # over the samples in order, refusing a pole
+        return _no_pole(t.ravel(), s.phi(tuple(t.ravel().tolist())))
+
     pts = _grid_points(grid)
     # single-shot product integration: phi ~ xi^alpha near 0, whose kink
     # keeps the adaptive refinement test from ever settling
-    d = jumarie_quadrature(lambda t: s.phi_on(t.ravel()).reshape(t.shape),
+    d = jumarie_quadrature(lambda t: phi(t).reshape(t.shape),
                            s.alpha, pts, X=X, max_refine=0, n0=512)
-    res = [abs(dv - (sig + p * p)) for dv, p in zip(d.tolist(), s.phi_on(pts).tolist())]
+    res = [abs(dv - (sig + p * p)) for dv, p in zip(d.tolist(), phi(pts).tolist())]
     return _report(res, grid, (), "fractionalRiccati")
 
 

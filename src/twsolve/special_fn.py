@@ -125,18 +125,27 @@ def _top(z):
     return max(e1 + b1 if m1 else -math.inf, e2 + b2 if m2 else -math.inf)
 
 
-def mittag_leffler(alpha: float, z: complex, guard: float = DEFAULT_GUARD) -> complex:
+def mittag_leffler(alpha: float, z, guard: float = DEFAULT_GUARD):
     """E_alpha(z) = sum_k z^k / Gamma(1 + k*alpha), by direct series: in
     float when its rounding error is certified small, otherwise with
     extended-precision accumulation to control cancellation at negative or
-    imaginary z.  |z| beyond `guard` is refused."""
+    imaginary z.  |z| beyond `guard` is refused.  A tuple z (a tuple, so
+    that a call's arguments stay hashable) gives the 1-D array of each
+    element's value and raises the error of its first element that has one;
+    no fallback runs past that element."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    errors = {}
-    v = _ml_grid(alpha, np.array([z], np.result_type(z, 0.0)), guard, errors)
-    if errors:
-        raise errors[0]
-    return v[0].item()
+    zs = np.array(z if isinstance(z, tuple) else (z,))
+    zs = zs.astype(np.result_type(zs, 0.0))
+    size = np.hypot(zs.real, zs.imag)       # abs() of each element
+    beyond = np.flatnonzero(size > guard)
+    first = beyond[0] if len(beyond) else len(zs)
+    out, accepted = _ml_float(alpha, np.where(size > guard, 0, zs))
+    for i in np.flatnonzero(~accepted[:first]):
+        out[i] = _ml_fallback(alpha, zs[i].item())
+    if first < len(zs):
+        raise DomainGuardExceeded(f"|z| = {size[first]:g} exceeds guard {guard:g}")
+    return out if isinstance(z, tuple) else out[0].item()
 
 
 def _ml_fallback(alpha: float, z: complex) -> complex:
@@ -181,24 +190,6 @@ def _ml_fallback(alpha: float, z: complex) -> complex:
     return result
 
 
-def _ml_grid(alpha: float, z: np.ndarray, guard: float, errors: dict) -> np.ndarray:
-    """mittag_leffler at each element of the 1-D array z, valid if `errors`
-    (index -> the element's first exception) stays empty; no fallback runs
-    past the first element with an error."""
-    size = np.hypot(z.real, z.imag)        # abs() of each element
-    for i in np.flatnonzero(size > guard):
-        errors.setdefault(i, DomainGuardExceeded(f"|z| = {size[i]:g} exceeds guard {guard:g}"))
-    out, accepted = _ml_float(alpha, np.where(size > guard, 0, z))
-    for i in np.flatnonzero(~accepted):
-        if i >= min(errors, default=len(z)):
-            break
-        try:
-            out[i] = _ml_fallback(alpha, z[i].item())
-        except NonConvergence as e:
-            errors[i] = e
-    return out
-
-
 def _power(x: float, alpha: float) -> float:
     try:
         return x ** alpha       # libm's pow, as the scalar code takes it
@@ -224,21 +215,21 @@ def generalized_fn(name: str, alpha: float, x):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     xa = np.array([_power(v, alpha) for v in xs.tolist()])
-    errors = {}
     with np.errstate(over="ignore", invalid="ignore"):    # as Python floats: inf, nan
         if name in ("sinh", "cosh", "tanh", "coth"):
             # cosh_a(x) = E_2a(x^2a) holds the even terms of E_a(x^a), so both
-            # series sum positive terms and E_a(-x^a) is never formed
-            ep = _ml_grid(alpha, xa, DEFAULT_GUARD, errors)
-            even = _ml_grid(2 * alpha, xa * xa, DEFAULT_GUARD ** 2, errors)
+            # series sum positive terms and E_a(-x^a) is never formed.  The
+            # first series fails wherever the second does (their guards agree
+            # and it needs twice the terms), so its error comes first in x
+            ep = mittag_leffler(alpha, tuple(xa.tolist()))
+            even = mittag_leffler(2 * alpha, tuple((xa * xa).tolist()),
+                                  guard=DEFAULT_GUARD ** 2)
             odd = ep - even
         else:
             # E_a(-i t) is the conjugate of E_a(i t), so (E_a(i t) -/+
             # E_a(-i t)) / 2(i) are exactly the parts of E_a(i t)
-            ep = _ml_grid(alpha, 1j * xa, DEFAULT_GUARD, errors)
+            ep = mittag_leffler(alpha, tuple((1j * xa).tolist()))
             odd, even = ep.imag, ep.real
-        if errors:
-            raise errors[min(errors)]
         kind = GENERALIZED_FN_NAMES.index(name) % 4   # odd, even, odd/even, even/odd
         num, den = (odd, even) if kind % 2 == 0 else (even, odd)
         pole = (kind > 1) & (np.abs(den) < _POLE_TOL)

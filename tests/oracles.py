@@ -286,7 +286,7 @@ def scalar_phi(s, xi: float) -> float:
 def per_point_phi(s, xis) -> np.ndarray:
     """phi of a closed-form solution as a loop of `scalar_phi` over the
     points, NaN where it raised at a pole: the reference for
-    `ClosedFormSolution.phi_on`."""
+    `ClosedFormSolution.phi` on a tuple."""
     out = []
     for xi in xis:
         try:

@@ -142,6 +142,14 @@ TRACED_COMMANDS = (
 )
 
 
+def load_tracing():
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
                                                             monkeypatch):
     """The benchmark's traced run wraps mittag_leffler (hashing its alpha and
@@ -149,10 +157,7 @@ def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
     its first positional argument); every call of the fractional, figure,
     symbolic and tabulate commands must pass through those wrappers
     unharmed, with output bytes equal to an untraced run."""
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     monkeypatch.chdir(tmp_path)
 
     def run_all():
@@ -177,6 +182,41 @@ def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
     quadratures = tracer.calls["special_fn.jumarie_quadrature"]
     assert quadratures > 0
     assert tracer.integrand_calls == quadratures
+
+
+@pytest.mark.parametrize("argv", [
+    ("figure", "2", "--alphas", "0.7", "--xgrid=-1:1:5", "--tgrid", "0:0.1:2"),
+    ("verify", "kp", "--method", "subeq", "--alpha", "0.6", "--sigma", "1"),
+])
+def test_a_grid_is_one_traced_call_of_each_layer(capsys, argv):
+    """The figure sheet's distinct xi, or the fractional residual's dense
+    nodes, are one call of ClosedFormSolution.phi and of generalized_fn,
+    and one mittag_leffler call per series (two for the Tanh family, one
+    for Tan): the layers the benchmark's traced runs require are reached,
+    with arguments its tracer can hash."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        _, out = run_cli(capsys, *argv)
+    finally:
+        tracer.uninstall()
+    assert not out.startswith('{"error"'), out
+    calls = {name: tracer.calls[f"{mod}.{name}"] for mod, name in (
+        ("solution_verify", "ClosedFormSolution.phi"), ("special_fn", "generalized_fn"),
+        ("special_fn", "mittag_leffler"))}
+    series = 2 if argv[0] == "figure" else 1
+    assert calls == {"ClosedFormSolution.phi": 1, "generalized_fn": 1,
+                     "mittag_leffler": series}
+    assert not +tracer.errors
+
+
+def test_verify_refuses_a_pole_on_the_dense_nodes(capsys):
+    """--grid 0.5:80:3 puts the first dense node of the fractional residual
+    at xi = 1.0 (X = 100), the pole of the Rational family at omega = -1."""
+    code, out = run_cli(capsys, "verify", "kp", "--method", "subeq", "--sigma", "0",
+                        "--omega=-1", "--alpha", "0.8", "--grid", "0.5:80:3")
+    assert code == 1
+    assert json.loads(out) == {"error": "PoleAt", "message": "pole at x = 1.0"}
 
 
 @pytest.mark.parametrize("argv", [

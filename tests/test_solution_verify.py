@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from twsolve import (
-    ClosedFormSolution, DenominatorZero, FamilyMismatch,
+    ClosedFormSolution, DenominatorZero, FamilyMismatch, PoleAt,
     SubEquationProfile, alpha_limit_check, construct_solutions,
     mittag_leffler, residual_fractional, residual_ode, residual_pde,
     riccati_probe,
@@ -230,20 +230,33 @@ def same_bits(a, b):
     ("Coth", "classical", -1, 0.0, 1.0),
 ])
 @pytest.mark.parametrize("xi_shift", [0.0, 0.375])
-def test_phi_on_is_the_per_point_loop(family, variant, sigma, omega, alpha, xi_shift):
-    """phi_on and u_on give what the scalar per-point code gave, bit for bit,
-    with NaN where it raised at a pole; the grid holds xi < 0 and a pole
-    (Coth, Cot and Rational at xi + xi_shift = 0 or 1)."""
+def test_phi_grid_is_the_per_point_loop(family, variant, sigma, omega, alpha, xi_shift):
+    """phi of a tuple and u_on give what the scalar per-point code gave, bit
+    for bit, with NaN where it raised at a pole; the grid holds xi < 0 and a
+    pole (Coth, Cot and Rational at xi + xi_shift = 0 or 1)."""
     s = ClosedFormSolution(family, variant, (Fraction(1, 2), Fraction(1), Fraction(-2)),
                            sigma=Fraction(sigma), omega=omega, alpha=alpha,
                            xi_shift=xi_shift)
     xis = np.concatenate((np.linspace(-6.0, 6.0, 49), [-xi_shift, 1.0 - xi_shift]))
-    phi, u = s.phi_on(xis), s.u_on(xis)
+    phi, u = s.phi(tuple(xis.tolist())), s.u_on(xis)
     assert same_bits(phi, per_point_phi(s, xis.tolist()))
     assert same_bits(u, per_point_u(s, xis.tolist()))
     assert np.isnan(phi).any() == (family in ("Coth", "Cot") or omega < 0)
     assert same_bits(np.array([s.phi(xi) for xi in xis[::7]]), phi[::7])
     assert same_bits(np.array([s.u_of_xi(xi) for xi in xis[::7]]), u[::7])
+
+
+def test_a_pole_on_a_fractional_grid_is_refused_at_its_xi():
+    """The Rational family at omega = -1 has its pole at xi = 1: a dense node
+    there (the first one of X = 100) or a probe point there raises PoleAt
+    naming it, as the scalar code did, instead of carrying NaN into the
+    quadrature."""
+    s = ClosedFormSolution("Rational", "alphaGeneralized", (Fraction(0), Fraction(1)),
+                           sigma=Fraction(0), omega=-1.0, alpha=0.8)
+    with pytest.raises(PoleAt, match=r"^pole at x = 1\.0$"):
+        _fractional_levels(s, 1, 100.0)
+    with pytest.raises(PoleAt, match=r"^pole at x = 1\.0$"):
+        riccati_probe(s, grid=(0.5, 1.5, 3))
 
 
 def per_node_levels(s, max_j, X):
@@ -332,7 +345,7 @@ def test_riccati_probe_refuses_a_pole_at_zero(family, sigma, monkeypatch):
         raise AssertionError("evaluated before refusing")
 
     monkeypatch.setattr(solution_verify, "jumarie_quadrature", never)
-    monkeypatch.setattr(ClosedFormSolution, "phi_on", never)
+    monkeypatch.setattr(ClosedFormSolution, "phi", never)
     s = ClosedFormSolution(family, "alphaGeneralized",
                            (Fraction(0), Fraction(1)),
                            sigma=Fraction(sigma), alpha=0.5)

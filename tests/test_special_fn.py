@@ -15,8 +15,8 @@ from twsolve import special_fn
 from twsolve.special_fn import _ml_float
 
 from oracles import (
-    operator_mittag_leffler, scalar_generalized_fn, scalar_ml_float,
-    scalar_quadrature,
+    operator_mittag_leffler, scalar_generalized_fn, scalar_mittag_leffler,
+    scalar_ml_float, scalar_quadrature,
 )
 
 REF_DIGITS = 40
@@ -222,6 +222,33 @@ def test_ml_float_kernel_is_the_scalar_loop(alpha):
     assert len(sums) == len(accepted) == 0
 
 
+def scalar_ml_grid(alpha, zs):
+    """mittag_leffler over a grid as the scalar loop: the first error in
+    input order raised."""
+    return np.array([scalar_mittag_leffler(alpha, z) for z in zs])
+
+
+def test_ml_grid_is_the_scalar_loop():
+    """A tuple z gives the scalar loop's values bit for bit, or raises the
+    type and message of the loop's first error.  The kernel's real,
+    imaginary and complex mixes hold accepted and fallback elements, z at
+    the guard's edge and beyond it (2500), and z whose fallback does not
+    converge (50 at small alpha)."""
+    raised = set()
+    for alpha in (0.5, 0.8, 1.4):
+        for zs in kernel_zs(round(alpha * 10)):
+            zs = zs[:40].tolist()
+            for grid in (zs, [z for z in zs if abs(z) <= 12]):
+                got = grid_outcome(mittag_leffler, alpha, tuple(grid))
+                want = grid_outcome(scalar_ml_grid, alpha, grid)
+                if isinstance(want, tuple):
+                    assert got == want
+                    raised.add(want[0])
+                else:
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert raised == {DomainGuardExceeded, NonConvergence}
+
+
 def grid_outcome(f, *args):
     """f(*args) as its value, or the type and message of what it raised."""
     try:
@@ -249,6 +276,7 @@ def scalar_grid(name, alpha, xs):
     ("tan", 0.6, [0.0, 1.0, 5.0, 9.0]),               # fallbacks mixed in
     ("cot", 0.9, [0.0, 1.0, 2.0]),                    # pole at 0
     ("tan", 0.5, [1.0, 1600.0, 1e6]),                 # NonConvergence first
+    ("tanh", 0.5, [1.0, 2000.0, 1e6]),                # both series fail at 2000
     ("sin", 0.5, [1.0, 1e6, 1600.0]),                 # the guard first
     ("cos", 0.6, [2.0, 0.0]),
 ])
