@@ -28,9 +28,8 @@ from .special_fn import (
     jumarie_power_rule, jumarie_quadrature, mittag_leffler,
 )
 from .solution_verify import (
-    ClosedFormSolution, DenominatorZero, FamilyMismatch, PoleOnGrid,
-    ResidualReport, alpha_limit_check, construct_solutions,
-    residual_fractional, residual_ode, residual_pde, riccati_probe,
+    ClosedFormSolution, DenominatorZero, PoleOnGrid, ResidualReport,
+    construct_solutions, residual_fractional, residual_ode, residual_pde,
 )
 
 __version__ = "1.0.0"

@@ -121,9 +121,6 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other) -> "Poly":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
         out = {}
@@ -362,25 +359,8 @@ class RationalFn:
             other = RationalFn(other)
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num.canonical_key(), self.den.canonical_key()))
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
-
-    def __mul__(self, other) -> "RationalFn":
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RationalFn(_coerce(other))
-        return RationalFn(self.num * other.num, self.den * other.den)
-
     def symbols(self) -> set:
         return self.num.symbols() | self.den.symbols()
-
-    def substitute(self, vals: dict) -> "RationalFn":
-        return RationalFn(self.num.substitute(vals), self.den.substitute(vals))
-
-    def eval(self, vals: dict):
-        return self.num.eval(vals) / self.den.eval(vals)
 
     def __str__(self) -> str:
         if self.den.is_constant and self.den.constant_value() == 1:

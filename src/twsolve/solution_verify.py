@@ -44,10 +44,6 @@ class PoleOnGrid(ValueError):
     pass
 
 
-class FamilyMismatch(ValueError):
-    pass
-
-
 def _as_fraction(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
@@ -77,12 +73,11 @@ class ClosedFormSolution:
         if self.family == "Rational" and self.sigma != 0:
             raise ValueError("Rational family requires sigma = 0")
 
-    def phi(self, xi):
-        """phi(xi); for a tuple of xi, the 1-D array of what each one gives
-        (a tuple, so that a call's arguments stay hashable).  NaN at a pole;
-        odd extension for xi < 0 (every base function is odd)."""
-        grid = isinstance(xi, tuple)
-        xi = np.array(xi if grid else (xi,), dtype=float) + self.xi_shift
+    def phi(self, xis: tuple) -> np.ndarray:
+        """phi at each xi of a tuple (a tuple, so that a call's arguments
+        stay hashable), as a 1-D array.  NaN at a pole; odd extension for
+        xi < 0 (every base function is odd)."""
+        xi = np.array(xis, dtype=float) + self.xi_shift
         odd = xi < 0
         xi = np.where(odd, -xi, xi)
         if self.variant == "classical" and self.family in HYPERBOLIC_FAMILIES:
@@ -100,8 +95,7 @@ class ClosedFormSolution:
         else:
             den = np.array([x ** self.alpha for x in xi.tolist()]) + float(self.omega)
             v = -math.gamma(1.0 + self.alpha) / np.where(np.abs(den) < 1e-13, np.nan, den)
-        v = np.where(odd, -v, v)
-        return v if grid else v[0].item()
+        return np.where(odd, -v, v)
 
     def u_on(self, xis) -> np.ndarray:
         """u at each xi of a 1-D sequence, NaN at a pole of phi."""
@@ -109,10 +103,6 @@ class ClosedFormSolution:
         for a in reversed(self.coefficients):
             total = total * p + float(a)
         return total
-
-    def u_of_xi(self, xi: float) -> float:
-        """u_on at one xi."""
-        return self.u_on([xi])[0].item()
 
     def pole_distance(self, xi: float) -> float:
         """Distance in xi to the nearest real pole of phi (inf for Tanh)."""
@@ -150,13 +140,7 @@ class ClosedFormSolution:
 
 
 def _num_str(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return str(v.numerator)
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (int,)):
-        return str(v)
-    return "%.12e" % float(v)
+    return str(v) if isinstance(v, (int, Fraction)) else "%.12e" % float(v)
 
 
 @dataclass(frozen=True)
@@ -391,44 +375,3 @@ def residual_fractional(s: ClosedFormSolution, o: ReducedOde, *,
             total += c
         res.append(abs(total))
     return _report(res, grid, (), "reducedOde")
-
-
-def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport:
-    """Measure D^alpha phi - (sigma + phi^2) on xi > 0 for the candidate phi:
-    whether the generalized functions satisfy the fractional Riccati equation
-    exactly is an open measurement, not an assumption.  The Jumarie
-    derivative needs phi(0), so a family with its pole at xi = 0 (Coth, Cot,
-    Rational with omega = 0) is refused."""
-    if s.pole_distance(0.0) == 0:
-        raise FamilyMismatch(f"{s.family} family has a pole at xi = 0, where "
-                             "the Jumarie derivative samples phi")
-    X = 1.25 * grid[1]
-    sig = float(s.sigma)
-
-    def phi(t):         # over the samples in order, refusing a pole
-        return _no_pole(t.ravel(), s.phi(tuple(t.ravel().tolist())))
-
-    pts = _grid_points(grid)
-    # single-shot product integration: phi ~ xi^alpha near 0, whose kink
-    # keeps the adaptive refinement test from ever settling
-    d = jumarie_quadrature(lambda t: phi(t).reshape(t.shape),
-                           s.alpha, pts, X=X, max_refine=0, n0=512)
-    res = [abs(dv - (sig + p * p)) for dv, p in zip(d.tolist(), phi(pts).tolist())]
-    return _report(res, grid, (), "fractionalRiccati")
-
-
-def alpha_limit_check(sol_classical: ClosedFormSolution,
-                      sol_fractional, alphas, grid=(0.1, 4.0, 41)) -> dict:
-    """Max |u_alpha - u_1| per alpha over the xi-grid; sol_fractional is a
-    factory alpha -> ClosedFormSolution (parameters re-powered per alpha)."""
-    if sol_classical.family != "Tanh":
-        raise FamilyMismatch("classical-limit check is defined for the Tanh family")
-    pts = _grid_points(grid)
-    base = sol_classical.u_on(pts)
-    out = {}
-    for alpha in alphas:
-        sa = sol_fractional(alpha)
-        if sa.family != sol_classical.family or not (sa.sigma < 0):
-            raise FamilyMismatch("fractional counterpart must be a Tanh family, sigma < 0")
-        out[alpha] = max(np.abs(sa.u_on(pts) - base).tolist())
-    return out

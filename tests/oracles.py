@@ -4,8 +4,10 @@ loop, the Mittag-Leffler series with its fallback on mpmath's number
 objects, and the float series, the generalized functions and phi of a
 closed-form solution as the scalar per-point code they replaced.  None is
 part of twsolve; each checks one of its exact, vectorised or raw paths.
-sympy is imported inside the two functions that use it, so the other
-oracles load where sympy is missing."""
+`riccati_probe` measures how far a closed-form phi is from solving the
+fractional Riccati equation, the reference for a certificate of the
+fractional sub-equation method.  sympy is imported inside the two
+functions that use it, so the other oracles load where sympy is missing."""
 from __future__ import annotations
 
 import math
@@ -16,10 +18,14 @@ import numpy as np
 
 from twsolve import CoefficientSystem, NonConvergence, special_fn
 from twsolve.rational_poly import RationalFn
+from twsolve.solution_verify import (
+    FRACTIONAL_GRID, ClosedFormSolution, ResidualReport, _grid_points,
+    _no_pole, _report,
+)
 from twsolve.special_fn import (
     _FALLBACK_DIGITS, _FLOAT_REL_TOL, _ML_TERM_TOL, _POLE_TOL, DEFAULT_GUARD,
     GENERALIZED_FN_NAMES, DomainGuardExceeded, PoleAt, _gamma_1p,
-    _inv_gamma_floats, _ml_fallback,
+    _inv_gamma_floats, _ml_fallback, jumarie_quadrature,
 )
 
 
@@ -306,3 +312,31 @@ def per_point_u(s, xis) -> np.ndarray:
             total = total * p + float(a)
         out.append(total)
     return np.array(out)
+
+
+class FamilyMismatch(ValueError):
+    pass
+
+
+def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport:
+    """Measure D^alpha phi - (sigma + phi^2) on xi > 0 for the candidate phi:
+    whether the generalized functions satisfy the fractional Riccati equation
+    exactly is an open measurement, not an assumption.  The Jumarie
+    derivative needs phi(0), so a family with its pole at xi = 0 (Coth, Cot,
+    Rational with omega = 0) is refused."""
+    if s.pole_distance(0.0) == 0:
+        raise FamilyMismatch(f"{s.family} family has a pole at xi = 0, where "
+                             "the Jumarie derivative samples phi")
+    X = 1.25 * grid[1]
+    sig = float(s.sigma)
+
+    def phi(t):         # over the samples in order, refusing a pole
+        return _no_pole(t.ravel(), s.phi(tuple(t.ravel().tolist())))
+
+    pts = _grid_points(grid)
+    # single-shot product integration: phi ~ xi^alpha near 0, whose kink
+    # keeps the adaptive refinement test from ever settling
+    d = jumarie_quadrature(lambda t: phi(t).reshape(t.shape),
+                           s.alpha, pts, X=X, max_refine=0, n0=512)
+    res = [abs(dv - (sig + p * p)) for dv, p in zip(d.tolist(), phi(pts).tolist())]
+    return _report(res, grid, (), "fractionalRiccati")

@@ -129,6 +129,26 @@ def test_constraint_that_is_a_denominator_power_kills_branch():
     assert solve_triangular(system) == []
 
 
+def test_a_later_step_resolves_an_earlier_value():
+    """The phi^1 row solves a0 = -a1*c/k while a1 is still unknown; the
+    phi^0 row's a1 = c^2/k then goes into that earlier value, so no
+    reported value mentions an unknown and every row back-substitutes
+    to 0."""
+    a0, a1, c, k = (Poly.var(s) for s in ("a0", "a1", "c", "k"))
+    system = CoefficientSystem(((1, a0 * k + a1 * c), (0, a1 * k - c ** 2)),
+                               ("a0", "a1"), ("c", "k"))
+    (b,) = solve_triangular(system)
+    assert b.provenance == [(1, "a0=-a1*c / k"), (0, "a1=c^2 / k")]
+    assert {u: str(v) for u, v in b.assignments.items()} == \
+        {"a0": "-c^3 / k^2", "a1": "c^2 / k"}
+    assert [str(d) for d in b.denominators] == ["k"]
+    assert not any(v.symbols() & {"a0", "a1"} for v in b.assignments.values())
+    for _, row in system.equations:
+        for u, value in sorted(b.assignments.items()):
+            row = _subs_assignment(row, u, value)
+        assert row.is_zero
+
+
 def _holds(branch, solution, symbols):
     """The branch's assignments equal the solution's values and its
     constraints vanish there."""

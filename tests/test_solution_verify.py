@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from twsolve import (
-    ClosedFormSolution, DenominatorZero, FamilyMismatch, PoleAt,
-    SubEquationProfile, alpha_limit_check, construct_solutions,
-    mittag_leffler, residual_fractional, residual_ode, residual_pde,
-    riccati_probe,
+    ClosedFormSolution, DenominatorZero, PoleAt, SubEquationProfile,
+    construct_solutions, mittag_leffler, residual_fractional, residual_ode,
+    residual_pde,
 )
 from twsolve.solution_verify import _fractional_levels
 
-from oracles import per_point_phi, per_point_u, scalar_phi, scalar_quadrature
+import oracles
+from oracles import (
+    FamilyMismatch, per_point_phi, per_point_u, riccati_probe, scalar_phi,
+    scalar_quadrature,
+)
 from conftest import run_pipeline, BSQ_DSL, BSQ_FRAC_DSL
 
 CLASSICAL = SubEquationProfile.classical_tanh()
@@ -81,7 +84,7 @@ def test_rational_family_shape():
                            (Fraction(0), Fraction(1)),
                            sigma=Fraction(0), omega=0.0, alpha=1.0)
     # phi = -Gamma(2)/xi = -1/xi at alpha = 1, omega = 0
-    assert s.phi(2.0) == pytest.approx(-0.5)
+    assert s.phi((2.0,))[0] == pytest.approx(-0.5)
 
 
 def test_alpha1_generalized_matches_classical_pointwise(bsq):
@@ -89,8 +92,8 @@ def test_alpha1_generalized_matches_classical_pointwise(bsq):
     frac = run_pipeline(BSQ_FRAC_DSL, integrate=2)
     sa, _ = tanh_solution(frac, params, alpha=1.0, sigma=-1)
     sc, _ = tanh_solution(bsq, {"k": 1, "c": BSQ_C})
-    for xi in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        assert sa.u_of_xi(xi) == pytest.approx(sc.u_of_xi(xi), abs=1e-10)
+    xis = [-2.0, -0.5, 0.0, 1.0, 3.0]
+    assert sa.u_on(xis) == pytest.approx(sc.u_on(xis), abs=1e-10)
 
 
 # --- integer-order residuals ---------------------------------------------
@@ -201,14 +204,13 @@ def test_fractional_levels_accuracy_on_jumarie_fixed_point(alpha, bounds):
     """u = E_alpha(xi^alpha) solves D^alpha u = u, so every derivative level
     should reproduce u.  The bounds state the operator's present maximum
     relative error over xi in (0.5, 4) with X = 5, for levels 1, 2, 3."""
-    def u_of_xi(xi):
-        return mittag_leffler(alpha, float(xi) ** alpha)
+    def u_on(xis):
+        return np.array([mittag_leffler(alpha, float(xi) ** alpha) for xi in xis])
 
-    s = SimpleNamespace(alpha=alpha, u_of_xi=u_of_xi,
-                        u_on=lambda xis: np.array([u_of_xi(xi) for xi in xis]))
+    s = SimpleNamespace(alpha=alpha, u_on=u_on)
     nodes, levels = _fractional_levels(s, 3, 5.0)
     inside = (nodes > 0.5) & (nodes < 4.0)
-    u = np.array([s.u_of_xi(xi) for xi in nodes[inside]])
+    u = s.u_on(nodes[inside])
     for level, bound in zip(levels[1:], bounds):
         assert np.max(np.abs(level[inside] - u) / u) <= bound
 
@@ -242,8 +244,8 @@ def test_phi_grid_is_the_per_point_loop(family, variant, sigma, omega, alpha, xi
     assert same_bits(phi, per_point_phi(s, xis.tolist()))
     assert same_bits(u, per_point_u(s, xis.tolist()))
     assert np.isnan(phi).any() == (family in ("Coth", "Cot") or omega < 0)
-    assert same_bits(np.array([s.phi(xi) for xi in xis[::7]]), phi[::7])
-    assert same_bits(np.array([s.u_of_xi(xi) for xi in xis[::7]]), u[::7])
+    assert same_bits(np.array([s.phi((xi,))[0] for xi in xis[::7]]), phi[::7])
+    assert same_bits(np.array([s.u_on([xi])[0] for xi in xis[::7]]), u[::7])
 
 
 def test_a_pole_on_a_fractional_grid_is_refused_at_its_xi():
@@ -339,12 +341,10 @@ def test_riccati_probe_is_the_per_point_loop(family, sigma, omega):
 
 @pytest.mark.parametrize("family, sigma", [("Coth", -1), ("Cot", 1), ("Rational", 0)])
 def test_riccati_probe_refuses_a_pole_at_zero(family, sigma, monkeypatch):
-    from twsolve import solution_verify
-
     def never(*args, **kwargs):
         raise AssertionError("evaluated before refusing")
 
-    monkeypatch.setattr(solution_verify, "jumarie_quadrature", never)
+    monkeypatch.setattr(oracles, "jumarie_quadrature", never)
     monkeypatch.setattr(ClosedFormSolution, "phi", never)
     s = ClosedFormSolution(family, "alphaGeneralized",
                            (Fraction(0), Fraction(1)),
@@ -376,14 +376,10 @@ def _bsq_pair():
 
 
 def test_alpha_limit_strictly_decreasing():
+    """max |u_alpha - u_1| over xi in [0.1, 4] shrinks as alpha -> 1."""
     sc, factory = _bsq_pair()
-    dev = alpha_limit_check(sc, factory, [0.9, 0.99, 0.999, 1.0])
+    xis = np.linspace(0.1, 4.0, 41)
+    dev = {alpha: max(np.abs(factory(alpha).u_on(xis) - sc.u_on(xis)).tolist())
+           for alpha in (0.9, 0.99, 0.999, 1.0)}
     assert dev[0.9] > dev[0.99] > dev[0.999] > dev[1.0]
     assert dev[1.0] < 1e-10
-
-
-def test_alpha_limit_family_mismatch():
-    sc, factory = _bsq_pair()
-    coth = replace(sc, family="Coth")
-    with pytest.raises(FamilyMismatch):
-        alpha_limit_check(coth, factory, [0.9])

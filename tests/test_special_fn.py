@@ -453,6 +453,33 @@ def test_quadrature_converges_on_the_finest_levels(alpha, gamma, x):
     assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
 
+def single_shot_error(alpha, gamma, xs, X, n0):
+    """Worst error of the single-shot quadrature of s^gamma at the points
+    xs against the power rule, relative to max(1, |want|)."""
+    want = np.array([jumarie_power_rule(alpha, gamma, x) for x in xs])
+    got = jumarie_quadrature(lambda s: s ** gamma, alpha, xs, X=X,
+                             max_refine=0, n0=n0)
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("n0, bound", [(256, 2.2e-4), (512, 7.9e-5)])
+def test_quadrature_single_shot_accuracy_on_criterion_6(n0, bound):
+    """The single-shot mode (max_refine=0) on release criterion 6's cases,
+    each x with X = 2x."""
+    assert max(single_shot_error(alpha, gamma, np.array([x]), 2.0 * x, n0)
+               for alpha in (0.25, 0.5, 0.75) for gamma in (0.5, 1.0, 2.0)
+               for x in (0.5, 1.0, 2.0)) <= bound
+
+
+def test_quadrature_single_shot_accuracy_on_the_residual_geometry():
+    """The single-shot mode at the fractional residual's n0 = 256, on 24
+    points in [0.2, 4.8] with X = 5."""
+    xs = np.linspace(0.2, 4.8, 24)
+    assert max(single_shot_error(alpha, gamma, xs, 5.0, 256)
+               for alpha in (0.6, 0.7, 0.8, 0.9)
+               for gamma in (0.5, 1.0, 2.0)) <= 1.9e-4
+
+
 def test_quadrature_linearity():
     alpha, x = 0.6, 1.2
     f = lambda s: s ** 1.5
