@@ -7,8 +7,7 @@ solve the coefficient-matching system by exact triangular branch enumeration,
 materialize the closed-form solution families, and verify them by residual.
 """
 from .pde_ast import (
-    MixedOrderError, PdeDefinition, PdeSyntaxError, UndeclaredSymbolError,
-    parse_pde, print_pde,
+    PdeDefinition, PdeSyntaxError, UndeclaredSymbolError, parse_pde, print_pde,
 )
 from .travelling_wave import (
     FrameError, NotExactDerivative, ReducedOde, frame_symbol, integrate_decay,

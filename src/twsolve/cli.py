@@ -163,6 +163,11 @@ def _check_flags(args):
                        "family that reads it")
     if args.degree is not None and args.degree < 1:
         raise CliError(f"--degree must be at least 1, got {args.degree}")
+    if args.integrate < 0:
+        raise CliError(f"--integrate must be at least 0, got {args.integrate}")
+    if args.integrate and args.pde in REGISTRY:
+        raise CliError("--integrate applies to DSL input; registry keys use "
+                       "their built-in count")
     _parse_grid(args.grid, None)        # its default depends on the definition
 
 
@@ -334,7 +339,7 @@ def cmd_figure(args) -> int:
     if args.n not in FIGURES:
         raise CliError("figure number must be 1..6")
     _check_finite(args, "sigma", "a0")
-    if not args.sigma < 0:
+    if not _sigma(args) < 0:
         raise CliError("--sigma must be negative: the figures plot the Tanh "
                        "family")
     key, method = FIGURES[args.n]
@@ -348,8 +353,9 @@ def cmd_figure(args) -> int:
             raise CliError(f"--alphas expects numbers, got {args.alphas!r}") from e
         if not all(0 < a <= 1 for a in alphas):
             raise CliError("--alphas must lie in (0, 1]")
-    elif args.alphas:
-        raise CliError("--alphas applies to the fractional figures 2, 4 and 6")
+    elif args.alphas or args.sigma is not None:
+        raise CliError("--alphas and --sigma apply to the fractional figures "
+                       "2, 4 and 6")
     _, params, r = _solve(args, key, method)
     # xi = k*x + c*t (fixed y = 0) exactly, from the grid text: the row
     # (i, j) has xi = (a + j*b + i*d) / den with integer numerators
@@ -361,7 +367,7 @@ def cmd_figure(args) -> int:
 
     def rows_for(alpha):
         # sigma < 0, so the first family is Tanh
-        s = r.solutions(r.branches[0], params, alpha=alpha, sigma=args.sigma,
+        s = r.solutions(r.branches[0], params, alpha=alpha, sigma=_sigma(args),
                         a0=args.a0)[0]
         xis = [[(a + j * b + i * d) / den for j in range(xg[2])] for i in range(tg[2])]
         u_at = dict.fromkeys(xi for row in xis for xi in row)   # each distinct xi once
@@ -425,8 +431,8 @@ def _add_common(sp):
                     help="comma-separated name=value parameter bindings")
     sp.add_argument("--grid", default="", help="lo:hi:n xi-grid for residuals")
     sp.add_argument("--integrate", type=int, default=0,
-                    help="decay integrations for DSL input (registry keys "
-                         "use their built-in count)")
+                    help="decay integrations for DSL input (refused on "
+                         "registry keys, which use their built-in count)")
     sp.add_argument("--out", default=None)
 
 
@@ -456,7 +462,7 @@ def build_parser():
     sp = sub.add_parser("figure", help="emit figure data as CSV")
     sp.add_argument("n", type=int)
     sp.add_argument("--params", default="")
-    sp.add_argument("--sigma", type=float, default=-1.0)
+    sp.add_argument("--sigma", type=float, help="sigma of figures 2, 4 and 6 (default -1)")
     sp.add_argument("--a0", type=float, default=0.0)
     sp.add_argument("--alphas", default="",
                     help="comma-separated alpha list for fractional figures")

@@ -34,10 +34,6 @@ class UndeclaredSymbolError(PdeSyntaxError):
     pass
 
 
-class MixedOrderError(PdeSyntaxError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # jet symbols
 
@@ -248,15 +244,13 @@ class _Parser:
     def parse_factor(self) -> Poly:
         e = self.parse_primary()
         if self.peek()[1] == "^":
-            save = self.i
             self.next()
             kind, val, pos = self.next()
-            if kind == "int":
-                if int(val) < 1:
-                    raise PdeSyntaxError("exponent must be at least 1", pos, self.text)
-                e = e ** int(val)
-            else:
-                self.i = save
+            if kind != "int":
+                raise PdeSyntaxError("expected an integer exponent", pos, self.text)
+            if int(val) < 1:
+                raise PdeSyntaxError("exponent must be at least 1", pos, self.text)
+            e = e ** int(val)
         return e
 
     def _parse_deriv_suffix(self, payload: str, pos: int) -> dict:
@@ -278,18 +272,6 @@ class _Parser:
         for v in multi:
             if v not in self.variables:
                 raise UndeclaredSymbolError(f"undeclared variable {v!r}", pos, self.text)
-        # optional ^a<n> fractional-order multiplier
-        if self.peek()[1] == "^" and self.tokens[self.i + 1][0] == "name":
-            nxt = self.tokens[self.i + 1][1]
-            m = re.fullmatch(r"a(\d+)", nxt)
-            if m:
-                if not self.fractional:
-                    raise MixedOrderError(
-                        "fractional order marker in a non-fractional pde", pos, self.text)
-                self.next()
-                self.next()
-                n = int(m.group(1))
-                multi = {v: o * n for v, o in multi.items()}
         return multi
 
     def parse_primary(self) -> Poly:

@@ -323,7 +323,8 @@ def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
     array Jumarie quadrature, over every node more than two spacings from
     either end, of the interpolant of the previous level, and every level
     applies the one quadrature mesh built here.  The nodes within that
-    margin take the level's linear extension."""
+    margin take the level at the nearest node outside it (np.interp
+    clamps at the ends)."""
     delta = X / 100.0
     nodes = np.linspace(delta, X, 97)
     levels = [_no_pole(nodes, s.u_on(nodes))]

@@ -125,17 +125,18 @@ def _top(z):
     return max(e1 + b1 if m1 else -math.inf, e2 + b2 if m2 else -math.inf)
 
 
-def mittag_leffler(alpha: float, z, guard: float = DEFAULT_GUARD):
-    """E_alpha(z) = sum_k z^k / Gamma(1 + k*alpha), by direct series: in
-    float when its rounding error is certified small, otherwise with
+def mittag_leffler(alpha: float, zs: tuple, guard: float = DEFAULT_GUARD):
+    """E_alpha(z) = sum_k z^k / Gamma(1 + k*alpha) at each z of a tuple (so
+    that a call's arguments stay hashable), as a 1-D array: by direct series
+    in float when its rounding error is certified small, otherwise with
     extended-precision accumulation to control cancellation at negative or
-    imaginary z.  |z| beyond `guard` is refused.  A tuple z (a tuple, so
-    that a call's arguments stay hashable) gives the 1-D array of each
-    element's value and raises the error of its first element that has one;
-    no fallback runs past that element."""
+    imaginary z.  |z| beyond `guard` is refused.  The first element with an
+    error raises it; no fallback runs past that element."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    zs = np.array(z if isinstance(z, tuple) else (z,))
+    if not isinstance(zs, tuple) or np.ndim(zs) != 1:
+        raise ValueError("z must be a tuple of numbers")
+    zs = np.array(zs)
     zs = zs.astype(np.result_type(zs, 0.0))
     size = np.hypot(zs.real, zs.imag)       # abs() of each element
     beyond = np.flatnonzero(size > guard)
@@ -145,7 +146,7 @@ def mittag_leffler(alpha: float, z, guard: float = DEFAULT_GUARD):
         out[i] = _ml_fallback(alpha, zs[i].item())
     if first < len(zs):
         raise DomainGuardExceeded(f"|z| = {size[first]:g} exceeds guard {guard:g}")
-    return out if isinstance(z, tuple) else out[0].item()
+    return out
 
 
 def _ml_fallback(alpha: float, z: complex) -> complex:
@@ -200,16 +201,17 @@ def _power(x: float, alpha: float) -> float:
 GENERALIZED_FN_NAMES = ("sinh", "cosh", "tanh", "coth", "sin", "cos", "tan", "cot")
 
 
-def generalized_fn(name: str, alpha: float, x):
-    """Generalized hyperbolic/trig functions: cosh_alpha(x) = E_2alpha(x^2alpha),
-    sinh_alpha(x) = E_alpha(x^alpha) - cosh_alpha(x), and the trig family from
-    E_alpha(+/- i x^alpha), reducing to the classical functions at alpha = 1.
-    Requires x >= 0 since the argument enters as x^alpha.  An array x gives
-    each element's float value, NaN where a float raises PoleAt, and raises
-    the guard or convergence error of its first element that has one."""
+def generalized_fn(name: str, alpha: float, xs):
+    """Generalized hyperbolic/trig functions at each x >= 0 of a 1-D array:
+    cosh_alpha(x) = E_2alpha(x^2alpha), sinh_alpha(x) = E_alpha(x^alpha) -
+    cosh_alpha(x), and the trig family from E_alpha(+/- i x^alpha), reducing
+    to the classical functions at alpha = 1.  NaN at a pole; the first x
+    with a guard or convergence error raises it."""
     if name not in GENERALIZED_FN_NAMES:
         raise ValueError(f"unknown generalized function {name!r}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("x must be a 1-D array")
     if np.any(xs < 0):
         raise ValueError("generalized functions take x >= 0")
     if alpha <= 0:
@@ -233,10 +235,7 @@ def generalized_fn(name: str, alpha: float, x):
         kind = GENERALIZED_FN_NAMES.index(name) % 4   # odd, even, odd/even, even/odd
         num, den = (odd, even) if kind % 2 == 0 else (even, odd)
         pole = (kind > 1) & (np.abs(den) < _POLE_TOL)
-        v = num / np.where(pole, np.nan, den) if kind > 1 else num
-    if np.ndim(x) == 0 and pole[0]:
-        raise PoleAt(x)
-    return v if np.ndim(x) else v[0].item()
+        return num / np.where(pole, np.nan, den) if kind > 1 else num
 
 
 def jumarie_power_rule(alpha: float, gamma: float, x: float) -> float:
@@ -256,7 +255,7 @@ _BLOCK_ROWS = 16             # kernel rows are applied this many at a time
 
 @dataclass(frozen=True, eq=False)
 class JumarieMesh:
-    """The product-integration mesh of one single-shot quadrature: for the
+    """The product-integration mesh of one quadrature estimate: for the
     four difference offsets y of every point, the nodes s of n cells graded
     toward the singular endpoint s = y, and the exact kernel weights w1, w2
     of each cell, each row one unit row scaled by its y.  The weights depend
@@ -320,67 +319,62 @@ def _estimate(mesh: JumarieMesh, f):
     return (4 * d2 - d1) / 3.0 / math.gamma(1.0 - mesh.alpha)
 
 
-def _points(alpha: float, x, X):
-    """Checked points: (x is scalar, x as a 1-D array, X, difference step)."""
+def _points(alpha: float, xs, X):
+    """Checked points: (xs as a 1-D float array, X, difference step)."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if np.ndim(x) > 1:
-        raise ValueError("x must be a scalar or a 1-D array")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("x must be a 1-D array")
     X = X if X is not None else 2.0 * xs
     if np.any(xs <= 0) or np.any(xs >= X):
         raise ValueError("x must lie in (0, X)")
     h = np.minimum(xs, X - xs) / 4.0
     if np.any(h <= 0):
         raise EndpointTooClose("x within one cell of an endpoint")
-    return np.ndim(x) == 0, xs, X, h
+    return xs, X, h
 
 
-def jumarie_mesh(alpha: float, x, X=None, n0: int = 64) -> JumarieMesh:
-    """The mesh of a single-shot `jumarie_quadrature(f, alpha, x, X,
-    max_refine=0, n0=n0)`: pass it to such calls as `mesh=` to weigh the
-    kernel once for several integrands on the same points."""
-    _, xs, X, h = _points(alpha, x, X)
+def jumarie_mesh(alpha: float, xs, X=None, n0: int = 64) -> JumarieMesh:
+    """The mesh of the first estimate of `jumarie_quadrature(f, alpha, xs,
+    X, n0=n0)`: pass it to such calls as `mesh=` to weigh the kernel once
+    for several integrands on the same points."""
+    xs, X, h = _points(alpha, xs, X)
     return _build_mesh(alpha, xs, X, n0, h)
 
 
-def jumarie_quadrature(f, alpha: float, x, X=None,
+def jumarie_quadrature(f, alpha: float, xs, X=None,
                        max_refine: int = 9, n0: int = 64, mesh=None):
-    """Modified Riemann-Liouville derivative of a continuous f at x:
-    (1/Gamma(1-alpha)) d/dx int_0^x (x-s)^(-alpha) (f(s)-f(0)) ds.
-    f maps an ndarray of points to their values and is called once per
-    estimate.
+    """Modified Riemann-Liouville derivative of a continuous f at each x of
+    a 1-D array, as an array: (1/Gamma(1-alpha)) d/dx int_0^x (x-s)^(-alpha)
+    (f(s)-f(0)) ds.  f maps an ndarray of points to their values and is
+    called once per estimate, on the meshes of all the points it serves.
 
     The inner integral uses product integration (piecewise-linear f against
     the exact kernel) on a mesh graded toward the singularity; the outer
-    derivative is a Richardson-extrapolated central difference. The mesh is
-    refined until two successive refinements agree to _QUAD_REL_TOL.
-
-    x may be a 1-D array of points, in single-shot mode (max_refine = 0)
-    only: every point then gets the estimate it would get alone, from one
-    sample of f on all of their meshes together, and the result is an
-    array.  A single-shot call may take its mesh from `jumarie_mesh` of the
-    same alpha, x, X and n0; the result is the same, bit for bit."""
-    scalar, xs, X, h0 = _points(alpha, x, X)
-    if (not scalar or mesh is not None) and max_refine != 0:
-        raise ValueError("an array x or a mesh needs single-shot mode (max_refine = 0)")
+    derivative is a Richardson-extrapolated central difference. Each point's
+    mesh is refined until its last two estimates agree to _QUAD_REL_TOL; a
+    converged point drops out, so each point gets the estimates a call on
+    it alone makes.  max_refine = 0 returns the first estimate, for sampled
+    integrands whose interpolation error would defeat that test.  A `mesh`
+    from `jumarie_mesh` of the same alpha, x, X and n0 serves the first
+    estimate; the result is the same, bit for bit."""
+    xs, X, h = _points(alpha, xs, X)
     if mesh is None:
-        mesh = _build_mesh(alpha, xs, X, n0, h0)
+        mesh = _build_mesh(alpha, xs, X, n0, h)
     elif (mesh.alpha != alpha or mesh.n != n0 or not np.array_equal(mesh.x, xs)
           or not np.array_equal(mesh.X, X)):
         raise ValueError("the mesh was built for another alpha, x, X or n0")
     prev = _estimate(mesh, f)
     if max_refine == 0:
-        # non-adaptive single-shot mode (sampled/interpolated integrands whose
-        # interpolation error would defeat the refinement test)
-        return float(prev[0]) if scalar else prev
-    prev = float(prev[0])
-    n, h = n0, h0
+        return prev
+    out, live, n = np.empty(len(xs)), np.arange(len(xs)), n0
     for _ in range(max_refine):
-        n *= 2
-        h = h / 2
-        cur = float(_estimate(_build_mesh(alpha, xs, X, n, h), f)[0])
-        if abs(cur - prev) <= _QUAD_REL_TOL * max(abs(cur), 1.0):
-            return cur
-        prev = cur
+        n, h = 2 * n, h / 2
+        cur = _estimate(_build_mesh(alpha, xs[live], X, n, h), f)
+        done = np.abs(cur - prev) <= _QUAD_REL_TOL * np.maximum(np.abs(cur), 1.0)
+        out[live[done]] = cur[done]
+        live, prev, h = live[~done], cur[~done], h[~done]
+        if not len(live):
+            return out
     raise NonConvergence("quadrature refinement cap reached")

@@ -265,6 +265,11 @@ def test_verify_refuses_a_pole_on_the_dense_nodes(capsys):
     ("figure", "2", "--sigma=-inf"),
     ("figure", "1", "--a0", "inf"),
     ("tabulate", "tan", "--alpha", "0.7", "--grid=-1:1:3"),
+    ("figure", "1", "--sigma=-2", "--xgrid", "0:1:3", "--tgrid", "0:0:1"),
+    ("figure", "5", "--sigma=-1"),
+    ("solve", "pde b vars(x,t) params() : u_t + u*u_x = u_xx", "--integrate", "-1"),
+    ("solve", "sww", "--integrate", "3"),
+    ("verify", "kp", "--integrate", "2"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     def no_stage(*args, **kwargs):

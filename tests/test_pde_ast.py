@@ -4,10 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from twsolve import (
-    MixedOrderError, PdeSyntaxError, UndeclaredSymbolError, parse_pde,
-    print_pde,
-)
+from twsolve import PdeSyntaxError, UndeclaredSymbolError, parse_pde, print_pde
 from twsolve.pde_ast import (
     differentiate, expand_derivatives, expr_to_str, jet, jet_multi, split_mono,
 )
@@ -73,9 +70,10 @@ def test_error_syntax_reports_position():
 
 
 def test_error_mixed_orders():
-    # alpha-order markers are rejected outside a frac definition
-    with pytest.raises(MixedOrderError):
-        parse_pde("pde e vars(x,t) params() : u_x^a2 = u_t")
+    # a derivative order has one spelling, u_{x:2}: `^` takes an integer
+    for frac in ("", " frac(alpha)"):
+        with pytest.raises(PdeSyntaxError, match="expected an integer exponent"):
+            parse_pde(f"pde e vars(x,t) params(){frac} : u_x^a2 = u_t")
 
 
 def test_normalization_merges_and_drops():
