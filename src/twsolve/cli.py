@@ -17,7 +17,7 @@ from .pipeline import run
 from .solution_verify import (
     DEFAULT_GRID, FRACTIONAL_GRID, residual_fractional, residual_ode, residual_pde,
 )
-from .special_fn import generalized_fn, mittag_leffler
+from .special_fn import GENERALIZED_FN_NAMES, generalized_fn, mittag_leffler
 from .travelling_wave import FRAME_SYMBOLS, XI
 
 FMT = "%.12e"
@@ -112,7 +112,7 @@ def _parse_number(v):
         f = float(v)
         return Fraction(v) if f == int(f) or "." not in v and "e" not in v.lower() \
             else f
-    except (ValueError, OverflowError) as e:
+    except (ValueError, OverflowError, ZeroDivisionError) as e:
         raise CliError(f"bad numeric value {v!r}") from e
 
 
@@ -472,8 +472,7 @@ def build_parser():
     sp.set_defaults(func=cmd_figure)
 
     sp = sub.add_parser("tabulate", help="tabulate a special function to CSV")
-    sp.add_argument("fn", choices=("ml", "sinh", "cosh", "tanh", "coth",
-                                   "sin", "cos", "tan", "cot"))
+    sp.add_argument("fn", choices=("ml", *GENERALIZED_FN_NAMES))
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--grid", default="", help="lo:hi:n for x")
     sp.add_argument("--out", default=None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rational_poly import Poly, mono_str
+from .rational_poly import Poly, mono_str, signed_sum
 
 # ---------------------------------------------------------------------------
 # errors
@@ -133,6 +133,9 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op>[()*+^/=:,-])
 """, re.VERBOSE)
 
+# one `var:order` entry of a braced derivative suffix
+_ENTRY_RE = re.compile(r"\s*([a-z]+)\s*:\s*(\d+)\s*")
+
 
 def _tokenize(text: str):
     tokens = []
@@ -171,8 +174,8 @@ class _Parser:
             raise PdeSyntaxError(f"expected {value!r}, found {val!r}", pos, self.text)
         return val
 
-    def error(self, msg, cls=PdeSyntaxError):
-        raise cls(msg, self.peek()[2], self.text)
+    def error(self, msg):
+        raise PdeSyntaxError(msg, self.peek()[2], self.text)
 
     # -- header ------------------------------------------------------------
     def parse_definition(self) -> PdeDefinition:
@@ -258,13 +261,11 @@ class _Parser:
         if body.startswith("{"):
             multi = {}
             for entry in body[1:-1].split(","):
-                entry = entry.strip()
-                if not entry:
-                    continue
-                if ":" not in entry:
-                    raise PdeSyntaxError(f"bad derivative entry {entry!r}", pos, self.text)
-                var, order = entry.split(":")
-                multi[var.strip()] = multi.get(var.strip(), 0) + int(order)
+                m = _ENTRY_RE.fullmatch(entry)
+                if not m:
+                    raise PdeSyntaxError(f"bad derivative entry {entry.strip()!r}",
+                                         pos, self.text)
+                multi[m[1]] = multi.get(m[1], 0) + int(m[2])
         else:
             multi = {}
             for ch in body:
@@ -331,20 +332,13 @@ def _factor_str(multi, power, variables, fractional) -> str:
 
 
 def expr_to_str(e: Poly, variables, fractional=False) -> str:
-    if e.is_zero:
-        return "0"
-    chunks = []
-    for m in sorted(e.terms, key=term_key):
+    def body(m):
         _, factors, params = term_key(m)
-        c = e.terms[m]
-        parts = [str(abs(c))] if abs(c) != 1 or not m else []
-        if params:
-            parts.append(mono_str(params))
-        for multi, power in factors:
-            parts.append(_factor_str(multi, power, variables, fractional))
-        chunks.append(("- " if c < 0 else "+ ") + "*".join(parts))
-    s = " ".join(chunks)
-    return s[2:] if s.startswith("+ ") else "-" + s[2:]
+        return "*".join(([mono_str(params)] if params else []) +
+                        [_factor_str(multi, power, variables, fractional)
+                         for multi, power in factors])
+
+    return signed_sum((e.terms[m], body(m)) for m in sorted(e.terms, key=term_key))
 
 
 def print_pde(p: PdeDefinition) -> str:

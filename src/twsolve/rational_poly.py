@@ -20,18 +20,13 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted((s, e) for s, e in merged.items() if e != 0))
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def mono_str(m: Mono) -> str:
-    if not m:
-        return "1"
+    """The monomial as `a*b^2`; "" for the empty monomial."""
     return "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in m)
 
 
 def _mono_sort_key(m: Mono):
-    return (-mono_degree(m), m)
+    return (-sum(e for _, e in m), m)
 
 
 def factor_str(c: Fraction, m: Mono) -> str:
@@ -39,14 +34,18 @@ def factor_str(c: Fraction, m: Mono) -> str:
     return "*".join(([str(c)] if c != 1 else []) + ([mono_str(m)] if m else [])) or "1"
 
 
-def rational_content(coeffs) -> Fraction:
-    """Positive rational c such that every coeff/c is an integer and their
-    gcd is 1; 1 when there are no coefficients."""
-    num_gcd, den_lcm = 0, 1
-    for c in coeffs:
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
+def signed_sum(terms) -> str:
+    """The sum of (coefficient, body) pairs, in the order given, as
+    `c1*body1 - c2*body2 ...`; a unit coefficient is left out unless its
+    body is empty; "0" for no terms."""
+    parts = []
+    for c, body in terms:
+        frag = f"{abs(c)}*{body}" if abs(c) != 1 and body else body or str(abs(c))
+        parts.append(("- " if c < 0 else "+ ") + frag)
+    if not parts:
+        return "0"
+    s = " ".join(parts)
+    return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
 def monomial_content(monos, syms=None) -> Mono:
@@ -174,10 +173,8 @@ class Poly:
                     d = e
                 else:
                     rest.append((s, e))
-            p = out.setdefault(d, Poly())
-            rest_m = tuple(rest)
-            p.terms[rest_m] = p.terms.get(rest_m, Fraction(0)) + c
-        return {d: Poly(p.terms) for d, p in out.items() if not p.is_zero}
+            out.setdefault(d, {})[tuple(rest)] = c
+        return {d: Poly(terms) for d, terms in out.items()}
 
     def derivative(self, sym: str) -> "Poly":
         out = {}
@@ -190,7 +187,13 @@ class Poly:
         return Poly(out)
 
     def rational_content(self) -> Fraction:
-        return rational_content(self.terms.values())
+        """Positive rational c such that every coefficient / c is an integer
+        and their gcd is 1; 1 for the zero polynomial."""
+        num_gcd, den_lcm = 0, 1
+        for c in self.terms.values():
+            num_gcd = gcd(num_gcd, abs(c.numerator))
+            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+        return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
 
     def monomial_content(self, syms=None) -> Mono:
         return monomial_content(self.terms, syms)
@@ -284,21 +287,8 @@ class Poly:
         return total
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=_mono_sort_key):
-            c = self.terms[m]
-            body = mono_str(m)
-            if not m:
-                frag = str(abs(c))
-            elif abs(c) == 1:
-                frag = body
-            else:
-                frag = f"{abs(c)}*{body}"
-            parts.append(("- " if c < 0 else "+ ") + frag)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+        return signed_sum((self.terms[m], mono_str(m))
+                          for m in sorted(self.terms, key=_mono_sort_key))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -313,8 +303,11 @@ def _coerce(x) -> Poly:
 
 
 class RationalFn:
-    """Quotient of two Polys. Kept lightly normalized; equality is by
-    cross-multiplication so canonical form is not required."""
+    """Quotient of two Polys in a normal form: num and den share no
+    monomial factor, and den has coprime integer coefficients with a
+    positive leading one (`Poly.primitive` over no symbols).  Common
+    polynomial factors are not cancelled, so equality is by
+    cross-multiplication."""
 
     __slots__ = ("num", "den")
 
@@ -326,23 +319,12 @@ class RationalFn:
         if num.is_zero:
             self.num, self.den = Poly(), Poly.const(1)
             return
-        # cancel common monomial and rational content
         common = monomial_content((num.monomial_content(), den.monomial_content()))
         if common:
             num = num.divide_monomial(common)
             den = den.divide_monomial(common)
-        c = den.rational_content() * den.leading_sign()
-        num = num.divide_const(c)
-        den = den.divide_const(c)
-        # full cancellation when denominator is a constant times a monomial
-        if len(den.terms) == 1:
-            (m, c), = den.terms.items()
-            try:
-                num = num.divide_monomial(m).divide_const(c)
-                den = Poly.const(1)
-            except ValueError:
-                pass
-        self.num, self.den = num, den
+        den, (c, _) = den.primitive(())
+        self.num, self.den = num.divide_const(c), den
 
     @classmethod
     def const(cls, c) -> "RationalFn":
@@ -352,11 +334,7 @@ class RationalFn:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalFn.const(other)
-        if isinstance(other, Poly):
-            other = RationalFn(other)
+    def __eq__(self, other: "RationalFn") -> bool:
         return self.num * other.den == other.num * self.den
 
     def symbols(self) -> set:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twsolve import CoefficientSystem, extract_system, solve_triangular
+from twsolve import algebra_system
 from twsolve.algebra_system import _subs_assignment
 from twsolve.phi_calculus import PhiPolynomial
 from twsolve.rational_poly import Poly
@@ -148,6 +149,22 @@ def test_a_later_step_resolves_an_earlier_value():
             row = _subs_assignment(row, u, value)
         assert row.is_zero
 
+
+
+def test_one_branch_reached_by_two_step_orders_is_reported_once(monkeypatch):
+    """The phi^1 row a0*(a1 - k) branches on a0 = 0 and on a1 = k; each
+    then leaves the phi^0 row solving the other unknown, so both orders
+    reach {a0: 0, a1: k} and the duplicate is dropped."""
+    a0, a1, k = (Poly.var(s) for s in ("a0", "a1", "k"))
+    system = CoefficientSystem(((1, a0 * a1 - k * a0), (0, a0 + a1 - k)),
+                               ("a0", "a1"), ("k",))
+    (b,) = solve_triangular(system)
+    assert b.to_json() == {"assignments": {"a0": "0", "a1": "k"},
+                           "constraints": [], "denominators": [],
+                           "provenance": [[1, "a0=0"], [0, "a1=k"]]}
+    monkeypatch.setattr(algebra_system, "_dedupe_branches", list)
+    assert [x.to_json()["assignments"] for x in solve_triangular(system)] == \
+        [{"a0": "0", "a1": "k"}] * 2
 
 def _holds(branch, solution, symbols):
     """The branch's assignments equal the solution's values and its

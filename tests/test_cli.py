@@ -270,6 +270,7 @@ def test_verify_refuses_a_pole_on_the_dense_nodes(capsys):
     ("solve", "pde b vars(x,t) params() : u_t + u*u_x = u_xx", "--integrate", "-1"),
     ("solve", "sww", "--integrate", "3"),
     ("verify", "kp", "--integrate", "2"),
+    ("solve", "sww", "--params", "k=1/0"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_rejected_before_any_stage(capsys, monkeypatch, argv):
     def no_stage(*args, **kwargs):

@@ -69,6 +69,44 @@ def test_error_syntax_reports_position():
     assert "column" in str(ei.value)
 
 
+SYNTAX_ERRORS = [
+    ("pde a vars(x,t) params() : u_x = u$",
+     "unexpected character '$' (line 1, column 35)"),
+    ("pde a vars(x,t) params() u_x = u",
+     "expected ':', found 'u' (line 1, column 26)"),
+    ("pde 3 vars(x,t) params() : u_x = u",
+     "expected a pde name (line 1, column 5)"),
+    ("pde a vars(x,z) params() : u_x = u",
+     "variables must be among x, y, t; got 'z' (line 1, column 17)"),
+    ("pde a vars(x,t) params() : u_x = u )",
+     "trailing input ')' (line 1, column 36)"),
+    ("pde a vars(x,t) params(3) : u_x = u",
+     "expected a symbol name (line 1, column 24)"),
+    ("pde a vars(x,t) params() frac(alpha) : u_{x} = u",
+     "bad derivative entry 'x' (line 1, column 41)"),
+    ("pde a vars(x,t) params() : u_x = 1/a*u",
+     "expected integer denominator (line 1, column 36)"),
+    # an empty braced entry is refused, not read as no derivative
+    ("pde a vars(x,t) params() : u_{x:1,} = u",
+     "bad derivative entry '' (line 1, column 29)"),
+    ("pde a vars(x,t) params() : u_{ } = u",
+     "bad derivative entry '' (line 1, column 29)"),
+    # an order is one integer
+    ("pde a vars(x,t) params() : u_{x:a} = u",
+     "bad derivative entry 'x:a' (line 1, column 29)"),
+    ("pde a vars(x,t) params() : u_{x:1:2} = u",
+     "bad derivative entry 'x:1:2' (line 1, column 29)"),
+]
+
+
+@pytest.mark.parametrize("text,message", SYNTAX_ERRORS,
+                         ids=[text for text, _ in SYNTAX_ERRORS])
+def test_syntax_error_messages(text, message):
+    with pytest.raises(PdeSyntaxError) as ei:
+        parse_pde(text)
+    assert str(ei.value) == message
+
+
 def test_error_mixed_orders():
     # a derivative order has one spelling, u_{x:2}: `^` takes an integer
     for frac in ("", " frac(alpha)"):
