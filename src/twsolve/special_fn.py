@@ -22,6 +22,7 @@ _FLOAT_REL_TOL = 1e-13      # accepted rounding-error bound of the float series
 _ML_TERM_TOL = 1e-16        # the series stops at a term below this share of the sum
 _QUAD_REL_TOL = 1e-6        # agreement of two quadrature refinements
 _ML_BLOCK = 24              # series terms summed per array step
+_SPLIT = 2.0 ** 27 + 1      # Veltkamp's splitter of a float into two halves
 
 
 class DomainGuardExceeded(ValueError):
@@ -64,36 +65,34 @@ def _gamma_1p(alpha: float, k: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _inv_gamma_floats(alpha: float, terms: int) -> np.ndarray:
-    """1/Gamma(1 + k*alpha) rounded to float for k = 0..terms, cut before
-    the first entry below the normal float range (read-only)."""
-    out = []
-    with mpmath.workdps(_FALLBACK_DIGITS):
+def _inv_gamma(alpha: float, terms: int) -> np.ndarray:
+    """1/Gamma(1 + k*alpha) for k = 0..terms as hi + lo rows of a read-only
+    2 x n array, from mpmath at 40 digits, cut before the first hi below
+    the normal float range.  hi alone is the float series' table."""
+    pairs = []
+    with mpmath.workdps(40):
         a = mpmath.mpf(alpha)
         for k in range(terms + 1):
-            v = float(mpmath.rgamma(1 + k * a))
-            if v < sys.float_info.min:
+            v = mpmath.rgamma(1 + k * a)
+            if float(v) < sys.float_info.min:
                 break
-            out.append(v)
-    out = np.array(out)
+            pairs.append((float(v), float(v - float(v))))
+    out = np.array(pairs).T
     out.flags.writeable = False
     return out
 
 
 def _ml_float(alpha: float, z: np.ndarray):
-    """The series in float at each element of the 1-D float or complex
-    array z: (sums, accepted).  Each element makes the scalar series' float
+    """The series in float at each element of the 1-D array z of reals:
+    (sums, accepted), float sums.  Each element makes the scalar series' float
     operations in their order, stops at its own first term below
     _ML_TERM_TOL of the sum, and is accepted when the sum is finite and its
     rounding error, bounded by 4*k*eps*sum|t_k| over k terms, is within
     _FLOAT_REL_TOL of it.  Terms go _ML_BLOCK at a time along a second axis,
-    summed by accumulate (in order, unlike np.sum); complex z on Python
-    complex objects, as numpy's complex product and abs round differently."""
-    inv = _inv_gamma_floats(alpha, _ML_TERMS)
-    n, dtype = len(z), (object if np.iscomplexobj(z) else float)
-    sums, accepted, size = np.zeros(n, z.dtype), np.zeros(n, bool), np.ones(n)
-    live, zz = np.arange(n), z.astype(dtype)[:, None]
-    power = total = np.full(n, 1.0, dtype)
+    summed by accumulate (in order, unlike np.sum)."""
+    inv, n = _inv_gamma(alpha, _ML_TERMS)[0], len(z)
+    sums, accepted, size = np.zeros(n), np.zeros(n, bool), np.ones(n)
+    live, zz, power, total = np.arange(n), z.real[:, None], np.ones(n), np.ones(n)
 
     def run(op, first, block):      # first op block[0] op block[1] ..., in order
         return op.accumulate(np.hstack((first[:, None], block)), axis=1)[:, 1:]
@@ -103,8 +102,8 @@ def _ml_float(alpha: float, z: np.ndarray):
             f = inv[k0:k0 + _ML_BLOCK]
             power = run(np.multiply, power, np.broadcast_to(zz, (len(live), len(f))))
             terms = power * f
-            total, mag = run(np.add, total, terms), np.abs(terms).astype(float)
-            size, tot = run(np.add, size, mag), np.abs(total).astype(float)
+            total, mag = run(np.add, total, terms), np.abs(terms)
+            size, tot = run(np.add, size, mag), np.abs(total)
             stop = mag < _ML_TERM_TOL * np.maximum(tot, 1e-30)
             hit = stop.any(axis=1)
             rows, j = np.flatnonzero(hit), stop[hit].argmax(axis=1)
@@ -118,19 +117,74 @@ def _ml_float(alpha: float, z: np.ndarray):
     return sums, accepted
 
 
-def _top(z):
-    """e with 2^(e-1) <= |z| < 2^(e+1) for a raw libmp complex of finite
-    parts (the larger exp + bc of its nonzero parts), -inf for zero."""
-    (_, m1, e1, b1), (_, m2, e2, b2) = z
-    return max(e1 + b1 if m1 else -math.inf, e2 + b2 if m2 else -math.inf)
+def _dd_mul(ah, al, bh, bl):
+    """(ah + al)*(bh + bl) as a hi + lo pair: Dekker's exact product of the
+    highs (Veltkamp's split into 26-bit halves), plus the cross products."""
+    c, d, p = _SPLIT * ah, _SPLIT * bh, ah * bh
+    a1, b1 = c - (c - ah), d - (d - bh)
+    a2, b2 = ah - a1, bh - b1
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + (ah * bl + al * bh)
+    h = p + e
+    return h, e - (h - p)
+
+
+def _dd_add(ah, al, bh, bl):
+    """(ah + al) + (bh + bl) as a hi + lo pair: Knuth's TwoSum, then lows."""
+    s = ah + bh
+    v = s - ah
+    e = ((ah - (s - v)) + (bh - v)) + (al + bl)
+    h = s + e
+    return h, e - (h - s)
+
+
+def _ml_dd(alpha: float, z: np.ndarray):
+    """The series in double-double at each element of a 1-D array z on the
+    real or imaginary axis: (sums, accepted), sums of z's dtype.  For z =
+    t*i^q the real coefficient of z^k is that of z^(k-1) times t, or -t at
+    even k for imaginary z, so the even and the odd terms are two real sums:
+    Re E and Im E for imaginary z, halves of E for real z.  Each element
+    stops at its own first term below _ML_TERM_TOL of the part it certifies
+    (|E|, or the smaller of |Re E| and |Im E|), and is accepted when each
+    part's rounding error, bounded by 8*k*2^-104*sum|t_k| over its k terms,
+    is within 2^-53 of it.  A stopped element adds exact zeros, so its bits
+    do not depend on the rest of its grid."""
+    hi, lo = _inv_gamma(alpha, _ML_TERMS).tolist()
+    n, imag = len(z), z.imag != 0
+    steps = (np.where(imag, -z.imag, z.real), np.where(imag, z.imag, z.real))
+    ph, pl, passes, stop = np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n, bool)
+    # hi, lo and sum|t_k| of the even and of the odd terms
+    parts = [[np.ones(n), np.zeros(n), np.ones(n)], [np.zeros(n)] * 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(hi)):
+            ph, pl = _dd_mul(ph, pl, steps[k % 2], 0.0)
+            th, tl = _dd_mul(ph, pl, hi[k], lo[k])
+            acc = parts[k % 2]
+            acc[:] = *_dd_add(acc[0], acc[1], th, tl), acc[2] + np.abs(th)
+            (eh, _, _), (oh, _, _) = parts
+            part = np.where(imag, np.minimum(np.abs(eh), np.abs(oh)), np.abs(eh + oh))
+            stop = np.abs(th) < _ML_TERM_TOL * part
+            passes += ~stop
+            if stop.all():
+                break
+            ph[stop] = pl[stop] = 0.0
+    (eh, el, es), (oh, ol, os_) = parts
+    whole = _dd_add(eh, el, oh, ol)[0]
+    bound = 8 * (passes + 1) * 2.0 ** -51
+    accepted = stop & np.isfinite(es + os_) & np.where(
+        imag, (bound * es <= np.abs(eh)) & (bound * os_ <= np.abs(oh)),
+        bound * (es + os_) <= np.abs(whole))
+    sums = np.where(imag, eh, whole).astype(z.dtype)
+    if imag.any():
+        sums.imag[imag] = oh[imag]
+    return sums, accepted
 
 
 def mittag_leffler(alpha: float, zs: tuple, guard: float = DEFAULT_GUARD):
     """E_alpha(z) = sum_k z^k / Gamma(1 + k*alpha) at each z of a tuple (so
     that a call's arguments stay hashable), as a 1-D array: by direct series
-    in float when its rounding error is certified small, otherwise with
-    extended-precision accumulation to control cancellation at negative or
-    imaginary z.  |z| beyond `guard` is refused.  The first element with an
+    in float (real z), then in double-double (either axis), each where its
+    rounding error is certified small, otherwise with extended-precision
+    accumulation.  |z| beyond `guard` is refused.  The first element with an
     error raises it; no fallback runs past that element."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -141,8 +195,14 @@ def mittag_leffler(alpha: float, zs: tuple, guard: float = DEFAULT_GUARD):
     size = np.hypot(zs.real, zs.imag)       # abs() of each element
     beyond = np.flatnonzero(size > guard)
     first = beyond[0] if len(beyond) else len(zs)
-    out, accepted = _ml_float(alpha, np.where(size > guard, 0, zs))
-    for i in np.flatnonzero(~accepted[:first]):
+    z = np.where(size > guard, 0, zs)
+    out, todo = np.zeros(len(z), z.dtype), np.ones(len(z), bool)
+    for kernel, domain in ((_ml_float, z.imag == 0), (_ml_dd, (z.real == 0) | (z.imag == 0))):
+        idx = np.flatnonzero(todo & domain)
+        if len(idx):
+            out[idx], done = kernel(alpha, z[idx])
+            todo[idx[done]] = False
+    for i in np.flatnonzero(todo[:first]):
         out[i] = _ml_fallback(alpha, zs[i].item())
     if first < len(zs):
         raise DomainGuardExceeded(f"|z| = {size[first]:g} exceeds guard {guard:g}")
@@ -150,16 +210,16 @@ def mittag_leffler(alpha: float, zs: tuple, guard: float = DEFAULT_GUARD):
 
 
 def _ml_fallback(alpha: float, z: complex) -> complex:
-    """The series in mpmath, for a z whose float sum is not certified."""
-    # cancellation for negative/complex z eats ~|z|^(1/alpha)*log10(e) digits;
-    # widen the working precision accordingly (capped).  The loop works on
-    # raw libmp parts with the operations, precision and rounding that the
-    # mpf/mpc operators would apply, without their object layer.
-    extra = int(min(0.5 * abs(z) ** (1.0 / alpha), 200.0))
+    """The series in mpmath for a z that the float and double-double sums
+    leave, on raw libmp parts with the mpf/mpc operators' operations,
+    precision and rounding; for imaginary z against min(|Re|, |Im|)."""
+    imag = z.real == 0 and z.imag != 0
+    # cancellation eats ~|z|^(1/alpha)*log10(e) digits of |E| at negative or
+    # complex z, twice as many for a part of E(i t), down to exp(-|z|^(1/alpha))
+    extra = int(min((0.9 if imag else 0.5) * abs(z) ** (1.0 / alpha), 200.0))
     with mpmath.workdps(_FALLBACK_DIGITS + extra):
         prec, rnd = mpmath.mp._prec_rounding
-        c = complex(z)
-        zz = (libmp.from_float(c.real), libmp.from_float(c.imag))
+        zz = (libmp.from_float(z.real), libmp.from_float(z.imag))
         total = power = (libmp.fone, libmp.fzero)
         tol = libmp.from_float(_ML_TERM_TOL)
         tiny = libmp.from_float(1e-30)
@@ -168,16 +228,8 @@ def _ml_fallback(alpha: float, z: complex) -> complex:
             power = libmp.mpc_mul(power, zz, prec, rnd)
             term = libmp.mpc_div_mpf(power, _gamma_1p(alpha, k)._mpf_, prec, rnd)
             total = libmp.mpc_add(total, term, prec, rnd)
-            # |term| < _ML_TERM_TOL*max(|total|, 1e-30), 2^-54 < _ML_TERM_TOL <
-            # 2^-53: if lm >= -97, lt <= lm-56 gives |term| < 2^(lm-55) < the
-            # bound and lt >= lm-50 gives |term| >= 2^(lm-51) > it; else hypot
-            lt, lm = _top(term), _top(total)
-            if lm >= -97:
-                if lt <= lm - 56:
-                    break
-                if lt >= lm - 50:
-                    continue
-            size = libmp.mpc_abs(total, prec, rnd)
+            size = (min(map(libmp.mpf_abs, total), key=functools.cmp_to_key(libmp.mpf_cmp))
+                    if imag else libmp.mpc_abs(total, prec, rnd))
             bound = (tiny_bound if libmp.mpf_lt(size, tiny)
                      else libmp.mpf_mul(size, tol, prec, rnd))
             if libmp.mpf_lt(libmp.mpc_abs(term, prec, rnd), bound):
@@ -186,9 +238,7 @@ def _ml_fallback(alpha: float, z: complex) -> complex:
             raise NonConvergence(f"series did not converge in {_ML_TERMS} terms")
         # to_float rounds down unless told the context's rounding
         result = libmp.mpc_to_complex(total, rnd=rnd)
-    if abs(result.imag) < 1e-30 and isinstance(z, (int, float)):
-        return result.real
-    return result
+    return result.real if isinstance(z, (int, float)) else result
 
 
 def _power(x: float, alpha: float) -> float:

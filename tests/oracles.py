@@ -1,9 +1,10 @@
 """Independent references for the test suite: a numeric root finder and a
 sympy solver for coefficient systems, the Jumarie quadrature as a scalar
-loop, the Mittag-Leffler series with its fallback on mpmath's number
-objects, and the float series, the generalized functions and phi of a
-closed-form solution as the scalar per-point code they replaced.  None is
-part of twsolve; each checks one of its exact, vectorised or raw paths.
+loop, the Mittag-Leffler fallback on mpmath's number objects, and the
+float and double-double series, the Mittag-Leffler tiers at one z, the
+generalized functions and phi of a closed-form solution as the scalar
+per-point code they replaced.  None is part of twsolve; each checks one of
+its exact, vectorised or raw paths.
 `riccati_probe` measures how far a closed-form phi is from solving the
 fractional Riccati equation, the reference for a certificate of the
 fractional sub-equation method.  sympy is imported inside the two
@@ -23,9 +24,9 @@ from twsolve.solution_verify import (
     _no_pole, _report,
 )
 from twsolve.special_fn import (
-    _FALLBACK_DIGITS, _FLOAT_REL_TOL, _ML_TERM_TOL, _POLE_TOL, DEFAULT_GUARD,
-    GENERALIZED_FN_NAMES, DomainGuardExceeded, PoleAt, _gamma_1p,
-    _inv_gamma_floats, _ml_fallback, jumarie_quadrature,
+    _FALLBACK_DIGITS, _FLOAT_REL_TOL, _ML_TERM_TOL, _POLE_TOL, _SPLIT,
+    DEFAULT_GUARD, GENERALIZED_FN_NAMES, DomainGuardExceeded, PoleAt,
+    _gamma_1p, _inv_gamma, _ml_fallback, jumarie_quadrature,
 )
 
 
@@ -172,13 +173,13 @@ def scalar_quadrature(f, alpha, x, X, max_refine=9, n0=64):
     raise NonConvergence("quadrature refinement cap reached")
 
 
-def scalar_ml_float(alpha: float, z):
-    """The float series at one z as a scalar loop, or None unless it
+def scalar_ml_float(alpha: float, z: float):
+    """The float series at one real z as a scalar loop, or None unless it
     converged to a finite sum whose rounding error, bounded by
     4*k*eps*sum|t_k| over k terms, is within _FLOAT_REL_TOL of the sum: the
     reference that the array kernel `special_fn._ml_float` must reproduce
     bit for bit, in values and in the accept decision."""
-    inv = _inv_gamma_floats(alpha, special_fn._ML_TERMS).tolist()
+    inv = _inv_gamma(alpha, special_fn._ML_TERMS)[0].tolist()
     total = size = power = 1.0
     for k in range(1, len(inv)):
         power *= z
@@ -195,16 +196,63 @@ def scalar_ml_float(alpha: float, z):
     return None
 
 
-def operator_mittag_leffler(alpha: float, z: complex,
-                            guard: float = DEFAULT_GUARD) -> complex:
-    """`special_fn.mittag_leffler` with its fallback written with mpmath's
+def _dd_mul(ah, al, bh, bl):
+    def halves(x):
+        c = _SPLIT * x
+        return c - (c - x), x - (c - (c - x))
+
+    (a1, a2), (b1, b2), p = halves(ah), halves(bh), ah * bh
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + (ah * bl + al * bh)
+    return p + e, e - ((p + e) - p)
+
+
+def _dd_add(ah, al, bh, bl):
+    s = ah + bh
+    v = s - ah
+    e = ((ah - (s - v)) + (bh - v)) + (al + bl)
+    return s + e, e - ((s + e) - s)
+
+
+def scalar_ml_dd(alpha: float, z):
+    """The double-double series at one z on the real or imaginary axis as
+    a scalar loop, or None unless it stopped at a term below _ML_TERM_TOL
+    of the part it certifies and each part's rounding error, bounded by
+    8*k*2^-104*sum|t_k|, is within 2^-53 of it: the reference that the
+    array kernel `special_fn._ml_dd` must reproduce bit for bit, in values
+    and in the accept decision."""
+    hi, lo = _inv_gamma(alpha, special_fn._ML_TERMS).tolist()
+    c = complex(z)
+    imag = c.imag != 0
+    t = c.imag if imag else c.real
+    ph, pl = 1.0, 0.0
+    parts = [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]     # even, odd: hi, lo, sum|t_k|
+    for k in range(1, len(hi)):
+        f = -t if imag and k % 2 == 0 else t        # i*i = -1 on even k
+        ph, pl = _dd_mul(ph, pl, f, 0.0)
+        th, tl = _dd_mul(ph, pl, hi[k], lo[k])
+        acc = parts[k % 2]
+        acc[:] = *_dd_add(acc[0], acc[1], th, tl), acc[2] + abs(th)
+        (eh, _, _), (oh, _, _) = parts
+        if abs(th) < _ML_TERM_TOL * (min(abs(eh), abs(oh)) if imag else abs(eh + oh)):
+            break
+    else:
+        return None
+    (eh, el, es), (oh, ol, os_) = parts
+    whole = _dd_add(eh, el, oh, ol)[0]
+    bound = 8 * k * 2.0 ** -51
+    if not math.isfinite(es + os_):
+        return None
+    if imag:
+        return complex(eh, oh) if bound * es <= abs(eh) and bound * os_ <= abs(oh) else None
+    if bound * (es + os_) <= abs(whole):
+        return complex(whole) if isinstance(z, complex) else whole
+    return None
+
+
+def operator_ml_fallback(alpha: float, z: complex) -> complex:
+    """`special_fn._ml_fallback` at a z off both axes, written with mpmath's
     mpf/mpc operators: the reference that the raw libmp loop must
     reproduce bit for bit."""
-    if abs(z) > guard:
-        raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {guard:g}")
-    fast = scalar_ml_float(alpha, z)
-    if fast is not None:
-        return fast
     # cancellation for negative/complex z eats ~|z|^(1/alpha)*log10(e) digits;
     # widen the working precision accordingly (capped)
     extra = int(min(0.5 * abs(z) ** (1.0 / alpha), 200.0))
@@ -220,18 +268,21 @@ def operator_mittag_leffler(alpha: float, z: complex,
                 break
         else:
             raise NonConvergence(f"series did not converge in {special_fn._ML_TERMS} terms")
-        result = complex(total)
-    if abs(result.imag) < 1e-30 and isinstance(z, (int, float)):
-        return result.real
-    return result
+        return complex(total)
 
 
 def scalar_mittag_leffler(alpha: float, z, guard: float = DEFAULT_GUARD):
-    """`special_fn.mittag_leffler` at one z with the scalar float loop."""
+    """`special_fn.mittag_leffler` at one z: the scalar float loop for real
+    z, then the scalar double-double loop for z on an axis, then the
+    fallback."""
     if abs(z) > guard:
         raise DomainGuardExceeded(f"|z| = {abs(z):g} exceeds guard {guard:g}")
-    fast = scalar_ml_float(alpha, z)
-    return _ml_fallback(alpha, z) if fast is None else fast
+    c = complex(z)
+    fast = scalar_ml_float(alpha, c.real) if c.imag == 0 else None
+    if fast is not None:
+        return complex(fast) if isinstance(z, complex) else fast
+    dd = scalar_ml_dd(alpha, z) if c.real == 0 or c.imag == 0 else None
+    return _ml_fallback(alpha, z) if dd is None else dd
 
 
 def scalar_generalized_fn(name: str, alpha: float, x: float) -> float:

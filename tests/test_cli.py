@@ -210,6 +210,24 @@ def test_a_grid_is_one_traced_call_of_each_layer(capsys, argv):
     assert not +tracer.errors
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_tan_family_traffic_needs_no_fallback(capsys, monkeypatch, command):
+    """The Tan family's E_alpha(i*xi^alpha) on every sigma = 1 command of
+    the benchmark's fractional workload is served by the float and
+    double-double series: the mpmath fallback is never called."""
+    from twsolve import special_fn
+
+    def never(alpha, z):
+        raise AssertionError(f"fallback at alpha = {alpha}, z = {z}")
+
+    monkeypatch.setattr(special_fn, "_ml_fallback", never)
+    for key in ("sww", "kp", "boussinesq4"):
+        for alpha in ("0.6", "0.7", "0.8", "0.9"):
+            _, out = run_cli(capsys, command, key, "--method", "subeq",
+                             "--alpha", alpha, "--sigma", "1")
+            assert '"error"' not in out, (key, alpha, out)
+
+
 def test_verify_refuses_a_pole_on_the_dense_nodes(capsys):
     """--grid 0.5:80:3 puts the first dense node of the fractional residual
     at xi = 1.0 (X = 100), the pole of the Rational family at omega = -1."""
