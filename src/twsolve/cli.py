@@ -5,6 +5,7 @@ special-function tabulation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -436,6 +437,7 @@ def _add_common(sp):
     sp.add_argument("--out", default=None)
 
 
+@functools.cache  # one per process: a parser is configuration; parse_args keeps no state
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="twsolve",

@@ -1,7 +1,8 @@
 """Exact-rational multivariate polynomials and light rational functions.
 
-Monomials are sorted tuples of (symbol, exponent) pairs; coefficients are
-Fractions throughout so coefficient matching stays exact.
+Monomials are sorted tuples of (symbol, exponent) pairs; a coefficient is
+an int, or a Fraction when it is not an integer, so coefficient matching
+stays exact.  A float or any other inexact value is refused.
 """
 from __future__ import annotations
 
@@ -14,10 +15,21 @@ ONE_MONO: Mono = ()
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    merged = dict(a)
-    for sym, e in b:
-        merged[sym] = merged.get(sym, 0) + e
-    return tuple(sorted((s, e) for s, e in merged.items() if e != 0))
+    """The product of two monomials, by merging their sorted pairs."""
+    if not a or not b:
+        return a or b
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        if a[i][0] == b[j][0]:
+            out.append((a[i][0], a[i][1] + b[j][1]))
+            i, j = i + 1, j + 1
+        elif a[i][0] < b[j][0]:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def mono_str(m: Mono) -> str:
@@ -61,7 +73,7 @@ def monomial_content(monos, syms=None) -> Mono:
 
 
 class Poly:
-    """Multivariate polynomial with Fraction coefficients."""
+    """Multivariate polynomial; each coefficient an int or a non-integral Fraction."""
 
     __slots__ = ("terms",)
 
@@ -69,19 +81,22 @@ class Poly:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                if type(c) is not int:
+                    if not isinstance(c, (int, Fraction)):
+                        raise TypeError(f"inexact coefficient {c!r}")
+                    c = c.numerator if c.denominator == 1 else c
+                if c:
                     self.terms[m] = c
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls({ONE_MONO: Fraction(c)})
+        return cls({ONE_MONO: c})
 
     @classmethod
     def var(cls, sym: str, exp: int = 1) -> "Poly":
         if exp == 0:
             return cls.const(1)
-        return cls({((sym, exp),): Fraction(1)})
+        return cls({((sym, exp),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -91,9 +106,9 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and ONE_MONO in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
         return self.terms[ONE_MONO]
@@ -109,7 +124,7 @@ class Poly:
         other = _coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Poly(out)
 
     __radd__ = __add__
@@ -126,7 +141,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(out)
 
     __rmul__ = __mul__
@@ -144,9 +159,7 @@ class Poly:
         return result
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            other = _coerce(other)
-        return self.terms == other.terms
+        return self.terms == _coerce(other).terms
 
     def __hash__(self):
         return hash(self.canonical_key())
@@ -183,7 +196,7 @@ class Poly:
                 if s == sym:
                     rest = m[:i] + ((s, e - 1),) + m[i + 1:]
                     rest = tuple(p for p in rest if p[1] != 0)
-                    out[rest] = out.get(rest, Fraction(0)) + c * e
+                    out[rest] = out.get(rest, 0) + c * e
         return Poly(out)
 
     def rational_content(self) -> Fraction:
@@ -242,20 +255,25 @@ class Poly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return Poly()
-        p = Poly(dict(self.terms))
-        lead_d = min(d.terms, key=_mono_sort_key)
+        # graded lex over `syms` is a monomial order: lead(q*d) = lead(q)*lead(d)
+        syms = sorted(self.symbols() | d.symbols())
+
+        def lead(terms):
+            return max(terms, key=lambda m: (sum(e for _, e in m),
+                                             [dict(m).get(s, 0) for s in syms]))
+        p = self
+        lead_d = lead(d.terms)
         cd = d.terms[lead_d]
         dd = dict(lead_d)
         q = {}
         while not p.is_zero:
-            lead_p = min(p.terms, key=_mono_sort_key)
+            lead_p = lead(p.terms)
             mp = dict(lead_p)
             if any(mp.get(s, 0) < e for s, e in dd.items()):
                 return None
             qm = tuple(sorted((s, e - dd.get(s, 0)) for s, e in mp.items()
                               if e - dd.get(s, 0)))
-            qc = p.terms[lead_p] / cd
-            q[qm] = q.get(qm, Fraction(0)) + qc
+            q[qm] = qc = Fraction(p.terms[lead_p], cd)
             p = p - Poly({qm: qc}) * d
         return Poly(q)
 
@@ -295,11 +313,7 @@ class Poly:
 
 
 def _coerce(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly.const(x)
-    raise TypeError(f"cannot coerce {type(x)} to Poly")
+    return x if isinstance(x, Poly) else Poly.const(x)
 
 
 class RationalFn:

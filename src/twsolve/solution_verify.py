@@ -53,7 +53,7 @@ class ClosedFormSolution:
     """u(xi) = sum a_i phi(xi)^i for one phi family admitted by sign(sigma)."""
     family: str                     # Tanh | Coth | Tan | Cot | Rational
     variant: str                    # classical | alphaGeneralized
-    coefficients: tuple             # a_0..a_n as Fraction (exact where possible)
+    coefficients: tuple             # a_0..a_n, each a Fraction (a float a0 exactly)
     sigma: Fraction = Fraction(-1)
     omega: float = 0.0
     alpha: float = 1.0

@@ -9,6 +9,7 @@ atoms k_a, m_a, c_a and orders count alpha units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .pde_ast import (
     PdeDefinition, differentiate, jet, jet_multi, jet_order, term_key,
@@ -84,7 +85,7 @@ def _integrate_once(e: Poly) -> Poly:
         if e.degree_in(top) > 1:
             raise NotExactDerivative(
                 f"not an exact xi-derivative: the top jet {top} occurs nonlinearly")
-        g = Poly({mono_mul(m, ((below, 1),)): c / (dict(m).get(below, 0) + 1)
+        g = Poly({mono_mul(m, ((below, 1),)): Fraction(c, dict(m).get(below, 0) + 1)
                   for m, c in e.derivative(top).terms.items()})
         out = out + g
         e = e - differentiate(g, XI)

@@ -389,6 +389,29 @@ def test_tabulate_ml(capsys):
     assert float(lines[-1].split(",")[1]) == pytest.approx(math.e, abs=1e-12)
 
 
+@pytest.mark.parametrize("first, first_code, then", [
+    (("solve", "sww", "--method", "nope"), "SystemExit 2", ("solve", "sww")),
+    (("verify", "sww", "--params", "k=1,m=1,c=3,p=1,q=1", "--form", "reducedOde"), 0,
+     ("verify", "sww", "--params", "k=1,m=1,c=3,p=1,q=1")),
+    (("figure", "2", "--alphas", "0.8", "--xgrid=-1:1:3", "--tgrid=0:1:2",
+      "--sigma", "-2"), 0,
+     ("figure", "2", "--alphas", "0.8", "--xgrid=-1:1:3", "--tgrid=0:1:2")),
+])
+def test_reused_parser_leaks_no_state(capsys, first, first_code, then):
+    """`main` builds its parser once per process; a call after an argparse
+    rejection or after another call's options prints the bytes of a call
+    on a fresh parser."""
+    cli.build_parser.cache_clear()
+    fresh = run_cli(capsys, *then)
+    try:
+        code, _ = run_cli(capsys, *first)
+    except SystemExit as e:
+        code = f"SystemExit {e.code}"
+    assert code == first_code
+    assert run_cli(capsys, *then) == fresh
+    assert fresh[0] == 0 and cli.build_parser.cache_info().misses == 1
+
+
 def test_determinism_byte_identical(capsys):
     _, a = run_cli(capsys, "solve", "boussinesq4")
     _, b = run_cli(capsys, "solve", "boussinesq4")

@@ -1,10 +1,18 @@
-"""The exact layer's normal form: `Poly.as_univariate` and the num/den form
-`RationalFn` keeps, on random polynomials."""
+"""The exact layer's normal form: `Poly.as_univariate`, the num/den form
+`RationalFn` keeps, and the int-or-Fraction coefficients every `Poly`
+stores, on random polynomials and on the pipeline's own traffic."""
+import dataclasses
+import importlib.util
+import sys
+from fractions import Fraction
 from functools import reduce
 from math import gcd
+from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from twsolve import cli, pipeline
 from twsolve.rational_poly import Poly, RationalFn, _mono_sort_key, monomial_content
 
 SYMBOLS = ("a", "b", "k")
@@ -45,3 +53,101 @@ def test_rational_fn_cancels_a_common_monomial(n, d, m, c):
     r, rq = RationalFn(n, d), RationalFn(n * q, d * q)
     assert rq == r
     assert (rq.num.terms, rq.den.terms) == (r.num.terms, r.den.terms)
+
+
+def stored_coefficients_are_exact(p):
+    """Every stored coefficient is an int, or a Fraction that is not one."""
+    return all(type(c) is int or type(c) is Fraction and c.denominator != 1
+               for c in p.terms.values())
+
+
+# non-integers only; one_of(coeffs, ratios) gives polynomials that hold ints
+# and Fractions side by side
+ratios = st.fractions(min_value=-6, max_value=6, max_denominator=6) \
+    .filter(lambda c: c.denominator != 1)
+mixed_polys = st.dictionaries(monos, st.one_of(coeffs, ratios), min_size=1,
+                              max_size=4).map(Poly)
+
+
+@settings(deadline=None)
+@example(Poly({(("a", 1),): 1, (): Fraction(1, 3)}), Poly({(("a", 1),): 3}))
+@given(mixed_polys, mixed_polys.filter(lambda p: not p.is_zero))
+def test_try_divide_recovers_a_factor_exactly(p, q):
+    """(p*q)/q is p exactly: every coefficient quotient stays rational."""
+    assert (p * q).try_divide(q) == p
+
+
+@settings(deadline=None)
+@given(mixed_polys, mixed_polys.filter(lambda p: not p.is_zero),
+       st.sampled_from(SYMBOLS), st.one_of(coeffs, ratios))
+def test_arithmetic_stores_int_or_nonintegral_fraction(p, q, sym, c):
+    results = [p + q, p - q, p * q, -p, p ** 2, p.derivative(sym),
+               p.divide_const(c), (p * q).try_divide(q), p.substitute({sym: c}),
+               p.primitive()[0], *p.as_univariate(sym).values()]
+    assert all(map(stored_coefficients_are_exact, results))
+
+
+def test_inexact_coefficient_is_refused():
+    for bad in (0.5, 1.0, complex(1), "1/2"):
+        with pytest.raises(TypeError, match="inexact coefficient"):
+            Poly({(("a", 1),): bad})
+        with pytest.raises(TypeError, match="inexact coefficient"):
+            Poly.const(bad)
+    assert Poly().constant_value() == 0
+    assert type(Poly().constant_value()) is int
+    assert type(Poly.const(Fraction(4, 2)).constant_value()) is int
+
+
+def _polys_in(obj):
+    """Every Poly reachable from a pipeline result: dataclass fields,
+    containers, and the num and den of each RationalFn."""
+    if isinstance(obj, Poly):
+        yield obj
+    elif isinstance(obj, RationalFn):
+        yield obj.num
+        yield obj.den
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _polys_in(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        yield from _polys_in(list(obj.values()))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _polys_in(item)
+
+
+def _load_workloads(monkeypatch):
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_pipeline_traffic_keeps_the_coefficient_normal_form(capsys, monkeypatch):
+    """On the registry keys (tanh and subeq) and one round of the benchmark's
+    symbolic corpus, every Poly of every stage, branch and constraint keeps
+    int-or-nonintegral-Fraction coefficients."""
+    workloads = _load_workloads(monkeypatch)
+    results = []
+
+    def recording_run(*args):
+        results.append(pipeline.run(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    round_ = next(workloads.rounds("symbolic", 901))
+    argvs = [op.argv for op in round_] + [
+        ("solve", key, "--method", "subeq", "--sigma", "-1")
+        for key in workloads.FRACTIONAL_KEYS]
+    for argv in argvs:
+        assert cli.main(list(argv)) == 0, argv
+    capsys.readouterr()
+    assert len(results) == len(argvs)
+    branches = [b for r in results for b in r.branches]
+    assert branches and any(b.constraints for b in branches)
+    for r in results:
+        polys = list(_polys_in(r))
+        assert len(polys) > len(r.system.equations)
+        assert all(map(stored_coefficients_are_exact, polys)), r.definition.name

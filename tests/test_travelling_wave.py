@@ -154,6 +154,16 @@ def test_integrate_top_jet_times_lower_jet():
     assert ode_str(o) == "2*k^3*u*u_{xi:2} - k^3*u_{xi:1}^2 + 2*c*u"
 
 
+@pytest.mark.parametrize("c", [1, 10 ** 400], ids=["1", "1e400"])
+def test_integrate_divides_integer_coefficients_exactly(c):
+    """c*u^2*u_1 integrates to c*u^3/3 as a rational, not through a float
+    (which is inexact, and overflows for a coefficient past 1e308)."""
+    u, u1 = Poly.var(jet({XI: 0})), Poly.var(jet({XI: 1}))
+    g = _integrate_once(Poly.const(c) * u ** 2 * u1)
+    assert g.terms == {((jet({XI: 0}), 3),): Fraction(c, 3)}
+    assert all(type(v) is Fraction for v in g.terms.values())
+
+
 def test_integrate_rejects_nonlinear_top_jet_and_leftover():
     u1, u2 = Poly.var(jet({XI: 1})), Poly.var(jet({XI: 2}))
     with pytest.raises(NotExactDerivative, match="occurs nonlinearly"):
