@@ -64,15 +64,30 @@ def extract_system(pp: PhiPolynomial) -> CoefficientSystem:
     return CoefficientSystem(tuple(equations), pp.unknowns, pp.parameters, tuple(cleared))
 
 
-def _subs_assignment(poly: Poly, unknown: str, value: RationalFn) -> Poly:
-    """Substitute unknown = num/den into poly, clearing the denominator."""
+def _power_tables(value: RationalFn, deg: int):
+    """[num^0..num^deg] and [den^0..den^deg] of value, each power the one
+    before times the base; None in place of the den powers when den is 1."""
+    def table(p):
+        out = [Poly.const(1), p]
+        while len(out) <= deg:
+            out.append(out[-1] * p)
+        return out
+    return table(value.num), None if value.den.is_constant else table(value.den)
+
+
+def _subs_assignment(poly: Poly, unknown: str, nums, dens) -> Poly:
+    """Substitute unknown = num/den into poly, clearing the denominator;
+    (nums, dens) are `_power_tables` of num/den to poly's degree or more."""
     uni = poly.as_univariate(unknown)
     deg = max(uni)
-    out = Poly()
-    for d in range(deg + 1):
-        if d in uni:
-            out = out + uni[d] * value.num ** d * value.den ** (deg - d)
-    return out
+    out = {}
+    for d in sorted(uni):
+        term = uni[d] * nums[d] if d else uni[d]
+        if dens is not None and d < deg:
+            term = term * dens[deg - d]
+        for m, c in term.terms.items():
+            out[m] = out.get(m, 0) + c
+    return Poly(out)
 
 
 def _equation_steps(poly: Poly, unknowns):
@@ -144,18 +159,20 @@ def _solve_state(equations, unknowns, parameters, assignments, constraints,
         new_denoms = denominators if value.den.is_constant else denominators + [value.den]
         resolved = {k: _subs_rational(v, u, value) if u in v.symbols() else v
                     for k, v in assignments.items()}
-        _solve_state([(pw, _subs_assignment(pl, u, value)) for pw, pl in pending
-                      if pw != power],
+        rest = [(pw, pl) for pw, pl in pending if pw != power]
+        powers = _power_tables(value, max([pl.degree_in(u) for _, pl in rest], default=0))
+        _solve_state([(pw, _subs_assignment(pl, u, *powers)) for pw, pl in rest],
                      unknowns, parameters, {**resolved, u: value}, constraints,
                      new_denoms, provenance + [(power, f"{u}={value}")], results)
 
 
 def _subs_rational(v: RationalFn, u: str, value: RationalFn) -> RationalFn:
     """v with u replaced by value; denominator powers rebalanced exactly."""
-    dn = v.num.degree_in(u)
-    dd = v.den.degree_in(u)
-    num = _subs_assignment(v.num, u, value) * value.den ** dd
-    den = _subs_assignment(v.den, u, value) * value.den ** dn
+    dn, dd = v.num.degree_in(u), v.den.degree_in(u)
+    nums, dens = _power_tables(value, max(dn, dd))
+    num, den = _subs_assignment(v.num, u, nums, dens), _subs_assignment(v.den, u, nums, dens)
+    if dens is not None:
+        num, den = num * dens[dd], den * dens[dn]
     return RationalFn(num, den)
 
 

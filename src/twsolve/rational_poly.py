@@ -149,13 +149,11 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        result = self if n else Poly.const(1)
+        for bit in bin(n)[3:]:  # left to right: floor(log2 n) + popcount(n) - 1 products
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -224,8 +222,8 @@ class Poly:
         return Poly(out)
 
     def divide_const(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly({m: cc / c for m, cc in self.terms.items()})
+        c = Fraction(c)     # a Poly is never changed after __init__, so 1 gives self
+        return self if c == 1 else Poly({m: cc / c for m, cc in self.terms.items()})
 
     def leading_sign(self, key=_mono_sort_key) -> int:
         """Sign of the coefficient of the first monomial in `key` order."""

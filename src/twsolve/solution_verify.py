@@ -104,26 +104,26 @@ class ClosedFormSolution:
             total = total * p + float(a)
         return total
 
-    def pole_distance(self, xi: float) -> float:
-        """Distance in xi to the nearest real pole of phi (inf for Tanh)."""
+    def pole_distance(self, xi: np.ndarray) -> np.ndarray:
+        """Distance to the nearest real pole of phi, per xi (inf for Tanh)."""
         xi = xi + self.xi_shift
         if self.family == "Tanh":
-            return math.inf
+            return np.full(xi.shape, math.inf)
         if self.family == "Coth":
-            return abs(xi)
+            return np.abs(xi)
         r = math.sqrt(abs(float(self.sigma))) if self.sigma else 0.0
         if self.family == "Tan":
             # poles of tan at r*xi = pi/2 + n*pi
             z = (r * xi - math.pi / 2) / math.pi
-            return abs(z - round(z)) * math.pi / r
+            return np.abs(z - np.round(z)) * math.pi / r
         if self.family == "Cot":
             z = r * xi / math.pi
-            return abs(z - round(z)) * math.pi / r
+            return np.abs(z - np.round(z)) * math.pi / r
         if self.omega == 0.0:
-            return abs(xi)
+            return np.abs(xi)
         if self.omega < 0:
-            return abs(abs(xi) - (-self.omega) ** (1.0 / self.alpha))
-        return math.inf
+            return np.abs(np.abs(xi) - (-self.omega) ** (1.0 / self.alpha))
+        return np.full(xi.shape, math.inf)
 
     def to_json(self) -> dict:
         return {
@@ -275,7 +275,7 @@ def _report_from_R(R: Poly, s: ClosedFormSolution, grid, form: str) -> ResidualR
     deg = max(uni) if uni else 0
     cs = [float(uni.get(d, Poly()).constant_value()) if d in uni else 0.0
           for d in range(deg + 1)]
-    near = np.array([s.pole_distance(xi) < POLE_EXCLUSION_RADIUS for xi in pts], bool)
+    near = s.pole_distance(pts) < POLE_EXCLUSION_RADIUS
     p = np.full(len(pts), np.nan)
     p[~near] = s.phi(tuple(pts[~near].tolist()))
     ok, r = np.isfinite(p), 0.0
@@ -367,8 +367,8 @@ def residual_fractional(s: ClosedFormSolution, o: ReducedOde, *,
     nodes, levels = _fractional_levels(
         s, max([0] + [j for _, fs in terms for j, _ in fs]), X)
     res = []
-    for xi in _grid_points(grid):
-        at = [float(np.interp(xi, nodes, level)) for level in levels]
+    at_levels = [np.interp(_grid_points(grid), nodes, level).tolist() for level in levels]
+    for at in zip(*at_levels):
         total = 0.0
         for c, factors in terms:
             for j, e in factors:

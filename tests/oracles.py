@@ -2,9 +2,11 @@
 sympy solver for coefficient systems, the Jumarie quadrature as a scalar
 loop, the Mittag-Leffler fallback on mpmath's number objects, and the
 float and double-double series, the Mittag-Leffler tiers at one z, the
-generalized functions and phi of a closed-form solution as the scalar
-per-point code they replaced.  None is part of twsolve; each checks one of
-its exact, vectorised or raw paths.
+generalized functions, phi and the pole distance of a closed-form solution
+as the scalar per-point code they replaced, and the substitution of a
+solved value into a coefficient row as the per-row formula that the
+branch step's power tables replaced.  None is part of twsolve; each
+checks one of its exact, vectorised or raw paths.
 `riccati_probe` measures how far a closed-form phi is from solving the
 fractional Riccati equation, the reference for a certificate of the
 fractional sub-equation method.  sympy is imported inside the two
@@ -18,7 +20,7 @@ import mpmath
 import numpy as np
 
 from twsolve import CoefficientSystem, NonConvergence, special_fn
-from twsolve.rational_poly import RationalFn
+from twsolve.rational_poly import Poly, RationalFn
 from twsolve.solution_verify import (
     FRACTIONAL_GRID, ClosedFormSolution, ResidualReport, _grid_points,
     _no_pole, _report,
@@ -112,6 +114,19 @@ def to_sympy(value, symbols: dict):
     return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*(symbols[s] ** e for s, e in mono))
                        for mono, c in value.terms.items()))
+
+
+def subs_per_row(poly: Poly, unknown: str, value: RationalFn) -> Poly:
+    """unknown = num/den substituted into poly, the denominator cleared, as
+    sum_d uni[d] * num^d * den^(deg - d) with every power formed afresh:
+    the reference for `algebra_system._subs_assignment`."""
+    uni = poly.as_univariate(unknown)
+    deg = max(uni)
+    out = Poly()
+    for d in range(deg + 1):
+        if d in uni:
+            out = out + uni[d] * value.num ** d * value.den ** (deg - d)
+    return out
 
 
 def sympy_solutions(s: CoefficientSystem, speed: str):
@@ -340,6 +355,28 @@ def scalar_phi(s, xi: float) -> float:
     return -v if odd else v
 
 
+def scalar_pole_distance(s, xi: float) -> float:
+    """`ClosedFormSolution.pole_distance` at one xi as the scalar code it
+    replaced."""
+    xi = xi + s.xi_shift
+    if s.family == "Tanh":
+        return math.inf
+    if s.family == "Coth":
+        return abs(xi)
+    r = math.sqrt(abs(float(s.sigma))) if s.sigma else 0.0
+    if s.family == "Tan":
+        z = (r * xi - math.pi / 2) / math.pi
+        return abs(z - round(z)) * math.pi / r
+    if s.family == "Cot":
+        z = r * xi / math.pi
+        return abs(z - round(z)) * math.pi / r
+    if s.omega == 0.0:
+        return abs(xi)
+    if s.omega < 0:
+        return abs(abs(xi) - (-s.omega) ** (1.0 / s.alpha))
+    return math.inf
+
+
 def per_point_phi(s, xis) -> np.ndarray:
     """phi of a closed-form solution as a loop of `scalar_phi` over the
     points, NaN where it raised at a pole: the reference for
@@ -375,7 +412,7 @@ def riccati_probe(s: ClosedFormSolution, grid=FRACTIONAL_GRID) -> ResidualReport
     exactly is an open measurement, not an assumption.  The Jumarie
     derivative needs phi(0), so a family with its pole at xi = 0 (Coth, Cot,
     Rational with omega = 0) is refused."""
-    if s.pole_distance(0.0) == 0:
+    if s.pole_distance(np.zeros(1))[0] == 0:
         raise FamilyMismatch(f"{s.family} family has a pole at xi = 0, where "
                              "the Jumarie derivative samples phi")
     X = 1.25 * grid[1]

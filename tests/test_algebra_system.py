@@ -4,14 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twsolve import CoefficientSystem, extract_system, solve_triangular
 from twsolve import algebra_system
-from twsolve.algebra_system import _subs_assignment
+from twsolve.algebra_system import _power_tables, _subs_assignment, _subs_rational
 from twsolve.phi_calculus import PhiPolynomial
-from twsolve.rational_poly import Poly
+from twsolve.rational_poly import Poly, RationalFn
 
-from oracles import NoRootFound, solve_numeric, sympy_solutions, to_sympy
+from oracles import NoRootFound, solve_numeric, subs_per_row, sympy_solutions, to_sympy
 from conftest import (
     BSQ_DSL, BSQ_FRAC_DSL, KP_DSL, KP_FRAC_DSL, SWW_DSL, SWW_FRAC_DSL, TOY_DSL,
     run_pipeline,
@@ -121,6 +122,61 @@ def test_soundness_on_constraint_variety(sww):
             assert row.eval({**vals, "a0": Fraction(7), "a1": a1}) == 0
 
 
+# --- substitution of a solved value -----------------------------------------
+
+def _polys_over(syms, max_exp):
+    monos = st.dictionaries(st.sampled_from(syms), st.integers(1, max_exp)) \
+        .map(lambda d: tuple(sorted(d.items())))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    return st.dictionaries(monos, coeffs, min_size=1, max_size=4).map(Poly)
+
+
+_rows = _polys_over(("a0", "a1", "k"), 3)
+_values = st.one_of(
+    st.just(RationalFn.const(0)),
+    _polys_over(("a0", "k"), 2).map(RationalFn),
+    st.tuples(_polys_over(("a0", "k"), 2),
+              _polys_over(("c", "k"), 2).filter(lambda d: d.symbols()))
+    .map(lambda nd: RationalFn(*nd)))
+_A1, _K = Poly.var("a1"), Poly.var("k")
+_PAIR = [_A1 ** 3 * _K - 2 * _A1 + 1, _A1 ** 2 - _K]
+
+
+def _subs_rational_per_row(v, u, value):
+    """The old `_subs_rational`: per-row substitution, then the den powers
+    that rebalance num and den formed afresh."""
+    dn, dd = v.num.degree_in(u), v.den.degree_in(u)
+    return RationalFn(subs_per_row(v.num, u, value) * value.den ** dd,
+                      subs_per_row(v.den, u, value) * value.den ** dn)
+
+
+@settings(deadline=None)
+@example(_PAIR, RationalFn.const(0))
+@example(_PAIR, RationalFn(_K - 3))
+@example(_PAIR, RationalFn(_K, _K + Poly.var("c")))
+@given(st.lists(_rows, min_size=1, max_size=4), _values)
+def test_power_tables_substitute_as_the_per_row_formula(rows, value):
+    """One pair of power tables, formed to the highest degree of a1 among a
+    branch step's rows, gives every row exactly the per-row
+    sum_d uni[d] * num^d * den^(deg - d); the den table is left out when den
+    is 1.  `_subs_rational` on the same tables matches its per-row form."""
+    nums, dens = _power_tables(value, max(r.degree_in("a1") for r in rows))
+    assert (dens is None) == value.den.is_constant
+    for row in rows:
+        assert _subs_assignment(row, "a1", nums, dens).terms == \
+            subs_per_row(row, "a1", value).terms
+    v = RationalFn(rows[0], rows[-1])
+    if "a1" in v.symbols():
+        try:
+            want = _subs_rational_per_row(v, "a1", value)
+        except ZeroDivisionError:       # the value zeroes v's denominator
+            with pytest.raises(ZeroDivisionError):
+                _subs_rational(v, "a1", value)
+            return
+        got = _subs_rational(v, "a1", value)
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+
+
 def test_constraint_that_is_a_denominator_power_kills_branch():
     """a1 = 1/(p+q) turns the row (p+q)^2*a1 into the constraint (p+q)^2;
     with p + q a nonzero denominator it can never vanish."""
@@ -146,7 +202,7 @@ def test_a_later_step_resolves_an_earlier_value():
     assert not any(v.symbols() & {"a0", "a1"} for v in b.assignments.values())
     for _, row in system.equations:
         for u, value in sorted(b.assignments.items()):
-            row = _subs_assignment(row, u, value)
+            row = _subs_assignment(row, u, *_power_tables(value, row.degree_in(u)))
         assert row.is_zero
 
 
@@ -314,7 +370,8 @@ def test_every_branch_back_substitutes_to_zero_modulo_its_constraints():
             for power, row in r.system.equations:
                 for u, value in sorted(b.assignments.items()):
                     if not row.is_zero:
-                        row = _subs_assignment(row, u, value)
+                        row = _subs_assignment(
+                            row, u, *_power_tables(value, row.degree_in(u)))
                 assert row.is_zero or any(row.try_divide(c) is not None
                                           for c in b.constraints), \
                     (name, power, str(row), [str(c) for c in b.constraints])

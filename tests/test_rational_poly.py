@@ -87,6 +87,26 @@ def test_arithmetic_stores_int_or_nonintegral_fraction(p, q, sym, c):
     assert all(map(stored_coefficients_are_exact, results))
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_power_makes_the_binary_count_of_products(n, monkeypatch):
+    """p**n is the n-fold product and takes floor(log2 n) + popcount(n) - 1
+    products, none for n = 0: no square of the base past its last bit and
+    no product with the constant 1."""
+    p = Poly({(("a", 1),): 2, (("b", 1),): Fraction(1, 3), (): -1})
+    want = reduce(Poly.__mul__, [p] * n, Poly.const(1))
+    calls, mul = [], Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert (p ** n).terms == want.terms
+    assert len(calls) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0)
+
+
+def test_divide_const_by_one_is_the_poly_itself():
+    p = Poly({(("a", 1),): 2, (): Fraction(1, 3)})
+    assert p.divide_const(1) is p and p.divide_const(Fraction(3, 3)) is p
+    assert p.divide_const(-1) == -p and p.divide_const(2).terms == \
+        {(("a", 1),): 1, (): Fraction(1, 6)}
+
+
 def test_inexact_coefficient_is_refused():
     for bad in (0.5, 1.0, complex(1), "1/2"):
         with pytest.raises(TypeError, match="inexact coefficient"):

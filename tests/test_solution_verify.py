@@ -250,6 +250,31 @@ def test_phi_grid_is_the_per_point_loop(family, variant, sigma, omega, alpha, xi
     assert same_bits(np.array([s.u_on([xi])[0] for xi in xis[::7]]), u[::7])
 
 
+@pytest.mark.parametrize("family, sigma, omega", [
+    ("Tanh", -1, 0.0), ("Coth", -1, 0.0), ("Tan", 1, 0.0), ("Tan", 4, 0.0),
+    ("Cot", 1, 0.0), ("Cot", 4, 0.0), ("Rational", 0, -1.0),
+    ("Rational", 0, 0.0), ("Rational", 0, 0.5),
+])
+@pytest.mark.parametrize("xi_shift", [0.0, 0.375])
+def test_pole_distance_on_a_grid_is_the_per_point_formula(family, sigma, omega, xi_shift):
+    """pole_distance of an array gives what the scalar formula gave at each
+    xi, bit for bit.  The grid holds the multiples of pi/(2r), where the
+    Tan and Cot phase z = (r*xi - pi/2)/pi or r*xi/pi lands exactly on a
+    half-integer, a tie of the rounding; there the distance is the half
+    period pi/(2r)."""
+    s = ClosedFormSolution(family, "alphaGeneralized", (Fraction(0), Fraction(1)),
+                           sigma=Fraction(sigma), omega=omega, alpha=0.8,
+                           xi_shift=xi_shift)
+    r = math.sqrt(abs(sigma)) or 1.0
+    xis = np.concatenate((np.arange(-12, 13) * (math.pi / 2) / r,
+                          np.linspace(-6.0, 6.0, 49), [1.0 - xi_shift]))
+    got = s.pole_distance(xis)
+    assert same_bits(got, np.array([oracles.scalar_pole_distance(s, xi)
+                                    for xi in xis.tolist()]))
+    if family in ("Tan", "Cot") and not xi_shift:
+        assert (got == math.pi / (2 * r)).sum() >= 10
+
+
 def test_a_pole_on_a_fractional_grid_is_refused_at_its_xi():
     """The Rational family at omega = -1 has its pole at xi = 1: a dense node
     there (the first one of X = 100) or a probe point there raises PoleAt
