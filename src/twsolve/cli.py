@@ -16,7 +16,8 @@ from .pde_ast import expr_to_str, jet_multi, jet_variables, parse_pde, print_pde
 from .phi_calculus import SubEquationProfile
 from .pipeline import run
 from .solution_verify import (
-    DEFAULT_GRID, FRACTIONAL_GRID, residual_fractional, residual_ode, residual_pde,
+    DEFAULT_GRID, FRACTIONAL_GRID, fractional_extent, residual_fractional, residual_ode,
+    residual_pde,
 )
 from .special_fn import GENERALIZED_FN_NAMES, generalized_fn, mittag_leffler
 from .travelling_wave import FRAME_SYMBOLS, XI
@@ -187,11 +188,12 @@ def _check_method(args, method, definition):
         raise CliError("--alpha below 1 needs a fractional definition; an "
                        "integer-order one reads only alpha = 1")
     # figure has no residual grid; below alpha = 1 the fractional residual
-    # is measured on xi > 0
-    if "grid" in args and definition.fractional and args.alpha < 1 and \
-            _parse_grid(args.grid, FRACTIONAL_GRID)[0] <= 0:
-        raise CliError(f"the fractional residual grid must have lo > 0, "
-                       f"got {args.grid!r}")
+    # is measured on xi > 0, on dense nodes up to 1.25*hi
+    if "grid" in args and definition.fractional and args.alpha < 1:
+        try:
+            fractional_extent(_parse_grid(args.grid, FRACTIONAL_GRID))
+        except ValueError as e:
+            raise CliError(f"{e}, got {args.grid!r}") from None
 
 
 def _check_params(params, definition):

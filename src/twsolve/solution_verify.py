@@ -318,6 +318,19 @@ def _no_pole(xis, vals):
     return vals
 
 
+def fractional_extent(grid) -> float:
+    """X = 1.25*hi, the last dense node of the fractional residual on the
+    grid (lo, hi, n), which must have 0 < lo <= hi and X finite."""
+    lo, hi, _ = grid
+    if lo <= 0:
+        raise ValueError("the fractional residual grid must have lo > 0")
+    if hi < lo:
+        raise ValueError("the fractional residual grid must have lo <= hi")
+    if not math.isfinite(1.25 * hi):
+        raise ValueError("the fractional residual grid must have 1.25*hi finite")
+    return 1.25 * hi
+
+
 def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
     """levels[j][i] ~ u^{(j*alpha)} at the dense nodes; each level is one
     array Jumarie quadrature, over every node more than two spacings from
@@ -350,10 +363,7 @@ def residual_fractional(s: ClosedFormSolution, o: ReducedOde, *,
     classical route; for alpha < 1 it is a report, not a pass/fail check."""
     if s.alpha == 1.0:
         return residual_ode(s, o, grid=grid)
-    lo, hi, n = grid
-    if lo <= 0:
-        raise ValueError("fractional grid must have xi > 0")
-    X = 1.25 * hi
+    X = fractional_extent(grid)
     vals = {k: float(v) for k, v in s.params}
     # per term in print order: coefficient times parameters, then the
     # (derivative level, power) of each factor

@@ -300,37 +300,33 @@ def jumarie_power_rule(alpha: float, gamma: float, x: float) -> float:
     return math.gamma(1 + gamma) / math.gamma(arg) * x ** (gamma - alpha)
 
 
-_BLOCK_ROWS = 16             # kernel rows are applied this many at a time
-
-
 @dataclass(frozen=True, eq=False)
 class JumarieMesh:
     """The product-integration mesh of one quadrature estimate: for the
     four difference offsets y of every point, the nodes s of n cells graded
-    toward the singular endpoint s = y, and the exact kernel weights w1, w2
-    of each cell, each row one unit row scaled by its y.  The weights depend
-    on alpha, the points, X and n but not on the integrand, so one mesh
-    serves any number of integrands."""
+    toward the singular endpoint s = y, and the kernel's sample weights, one
+    unit row w scaled by y^(1-alpha) per row.  They depend on alpha, the
+    points, X and n but not on the integrand: one mesh serves them all."""
     alpha: float
     x: np.ndarray           # the points, 1-D
     X: object               # the X the points were checked against
     n: int                  # cells per offset
     h: np.ndarray           # difference step of each point
     s: np.ndarray           # graded nodes, one row per offset
-    w1: np.ndarray
-    w2: np.ndarray
-    live: np.ndarray        # the cells that add to their row's integral
+    scale: np.ndarray       # y^(1-alpha) of each row
+    w: np.ndarray           # sample weights of the unit row, n + 1
+    live: np.ndarray        # the unit row's cells that add to the integral
 
 
 def _build_mesh(alpha: float, xs, X, n: int, h) -> JumarieMesh:
     """Nodes and weights of int_0^y (y-s)^(-alpha) (f(s)-f(0)) ds for
     f piecewise linear on the graded nodes, at y in {x+h, x-h, x+h/2,
     x-h/2}.  Node i is y*(1 - c_i), c_i = ((n-i)/n)^g, so y - s_i = y*c_i
-    and cell i weighs y^(1-alpha)*A_i and y^(2-alpha)*B_i, A and B the
-    unit row's exact cell integrals.  g <= 4 and c_(n-1) >= 2^-52 keep the
-    rounded nodes distinct and below y, so no cell drops out of the kernel.
-    Every power is libm's pow on a Python float: numpy's SIMD `**` may
-    differ in the last bit, which the outer difference quotient magnifies."""
+    and the integral is y^(1-alpha) sum_i w_i (f_i - f_0), w_i = A_i +
+    B_(i-1)/d_(i-1) - B_i/d_i, A and B the exact integrals and d the widths
+    of the unit row's cells.  g <= 4 and c_(n-1) >= 2^-52 keep the rounded
+    nodes distinct and below y.  Every power is libm's pow on a Python
+    float: numpy's SIMD `**` may differ in the last bit on another CPU."""
     ys = np.concatenate((xs + h, xs - h, xs + h / 2, xs - h / 2))
     g = min(2.0 / (1.0 - alpha), 4.0, 52.0 / math.log2(max(n, 2)))
     oma, tma = 1.0 - alpha, 2.0 - alpha
@@ -338,34 +334,25 @@ def _build_mesh(alpha: float, xs, X, n: int, h) -> JumarieMesh:
     p, q = [ci ** oma for ci in c], [ci ** tma for ci in c]
     A = [(p[i] - p[i + 1]) / oma for i in range(n)]
     B = [c[i] * A[i] - (q[i] - q[i + 1]) / tma for i in range(n)]
-    s = ys[:, None] * np.array([1.0 - ci for ci in c])
-    w1 = np.array([v ** oma for v in ys.tolist()])[:, None] * np.array(A)
-    w2 = np.array([v ** tma for v in ys.tolist()])[:, None] * np.array(B)
-    # cells from the first one that starts at y on, and empty cells, add 0
-    live = np.logical_and.accumulate(s[:, :-1] < ys[:, None], axis=1) & (np.diff(s) != 0.0)
-    return JumarieMesh(alpha, xs, X, n, h, s, w1, w2, live)
+    d = -np.diff(c)
+    live = d > 0.0                  # a cell of zero width adds 0
+    r = np.divide(B, d, out=np.zeros(n), where=live)
+    w = np.append(np.where(live, A, 0.0) - r, 0.0) + np.append(0.0, r)
+    scale = np.array([v ** oma for v in ys.tolist()])
+    return JumarieMesh(alpha, xs, X, n, h, ys[:, None] * (1.0 - np.array(c)), scale, w, live)
 
 
 def _estimate(mesh: JumarieMesh, f):
     """The Richardson-extrapolated central difference of the inner
     integrals at every point of the mesh.  f is sampled once, on the nodes
-    of every row together.  Each cell repeats the float operations of a
-    scalar cell loop, and the cells are summed in order (cumsum, not the
-    pairwise np.sum), in blocks of _BLOCK_ROWS rows."""
-    s = mesh.s
-    fx = np.broadcast_to(f(s), s.shape)
-    ints = np.empty(len(s))
-    for lo in range(0, len(s), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        fb = fx[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.diff(fb) / np.diff(s[rows])
-            cells = (fb[:, :-1] - fb[:, :1]) * mesh.w1[rows] + slope * mesh.w2[rows]
-        ints[rows] = np.cumsum(np.where(mesh.live[rows], cells, 0.0), axis=1)[:, -1]
-    ints = ints.reshape(4, -1)
-    h = mesh.h
-    d1 = (ints[0] - ints[1]) / (2 * h)
-    d2 = (ints[2] - ints[3]) / h
+    of every row together.  A row is its scale times its weighted samples'
+    sum by numpy's pairwise reduce, whose order, unlike BLAS's, is fixed."""
+    fx = np.broadcast_to(f(mesh.s), mesh.s.shape)
+    cells = fx - fx[:, :1]
+    cells *= mesh.w
+    ints = (np.add.reduce(cells, axis=1) * mesh.scale).reshape(4, -1)
+    d1 = (ints[0] - ints[1]) / (2 * mesh.h)
+    d2 = (ints[2] - ints[3]) / mesh.h
     return (4 * d2 - d1) / 3.0 / math.gamma(1.0 - mesh.alpha)
 
 

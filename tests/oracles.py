@@ -146,8 +146,10 @@ def sympy_solutions(s: CoefficientSystem, speed: str):
 
 def scalar_quadrature(f, alpha, x, X, max_refine=9, n0=64):
     """The quadrature as a scalar loop over nodes and cells, one float
-    operation at a time: the reference that the vectorised cells must
-    reproduce bit for bit."""
+    operation at a time, each cell weighed by its own y: the reference for
+    the array quadrature, which takes one scale per row, one unit row of
+    sample weights and a pairwise sum, and must agree with it to within
+    1e-10*max(1, |value|)."""
     oma, tma = 1.0 - alpha, 2.0 - alpha
 
     def inner(y, n):

@@ -132,6 +132,10 @@ CASES = {
                            "--sigma=-1", "--params", "sigma=2"],
     "error_fractional_grid": ["verify", "sww", "--method", "subeq", "--alpha",
                               "0.8", "--sigma=-1", "--grid=-1:1:3"],
+    "error_fractional_grid_reversed": ["verify", "kp", "--method", "subeq", "--alpha",
+                                       "0.8", "--sigma=-1", "--grid", "4:0.5:5"],
+    "error_fractional_grid_overflow": ["verify", "kp", "--method", "subeq", "--alpha",
+                                       "0.8", "--sigma=-1", "--grid=0.5:1.7e308:3"],
     "error_sigma_overflow": ["solve", "sww", "--method", "subeq", "--sigma=-1e308"],
 }
 
