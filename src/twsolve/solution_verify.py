@@ -331,25 +331,48 @@ def fractional_extent(grid) -> float:
     return 1.25 * hi
 
 
-def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float):
+def _read_nodes(nodes, inner, pts):
+    """The inner nodes whose levels np.interp(pts, nodes, level) reads:
+    nodes[j-1] and nodes[j] for nodes[j-1] <= pt < nodes[j], the end node
+    past either end, and for a margin node the first or last inner node,
+    whose value the margin copies."""
+    j = np.searchsorted(nodes, pts, side="right")
+    read = np.zeros(len(nodes), bool)
+    read[np.clip(np.concatenate((j - 1, j)), 0, len(nodes) - 1)] = True
+    first, end = np.flatnonzero(inner)[[0, -1]]
+    read[first] |= read[:first].any()
+    read[end] |= read[end + 1:].any()
+    return inner & read
+
+
+def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float, pts=None):
     """levels[j][i] ~ u^{(j*alpha)} at the dense nodes; each level is one
     array Jumarie quadrature, over every node more than two spacings from
-    either end, of the interpolant of the previous level, and every level
-    applies the one quadrature mesh built here.  The nodes within that
-    margin take the level at the nearest node outside it (np.interp
-    clamps at the ends)."""
+    either end, of the interpolant of the previous level, and the levels
+    apply one quadrature mesh built here.  The nodes within that margin
+    take the level at the nearest node outside it (np.interp clamps at the
+    ends).  Given the points `pts` at which np.interp will read the levels,
+    the last level is taken, on a mesh of its own, only at the inner nodes
+    those reads use (`_read_nodes`), and its other nodes are filled as the
+    margin is: every value read is the one the whole level would give,
+    since each node's quadrature does not depend on the others."""
     delta = X / 100.0
     nodes = np.linspace(delta, X, 97)
     levels = [_no_pole(nodes, s.u_on(nodes))]
     margin = 2.0 * (nodes[1] - nodes[0])
     inner = (nodes > margin) & (nodes < X - margin)
-    mesh = jumarie_mesh(s.alpha, nodes[inner], X=float(X), n0=256) if max_j else None
-    for _ in range(max_j):
+    X = float(X)
+    ats = [inner] * max_j
+    if max_j and pts is not None:
+        ats[-1] = _read_nodes(nodes, inner, pts)
+    for j, at in enumerate(ats):
+        if not j or not np.array_equal(at, ats[j - 1]):
+            mesh = jumarie_mesh(s.alpha, nodes[at], X=X, n0=256)
         prev = levels[-1]
         cur = np.full_like(prev, np.nan)
-        cur[inner] = jumarie_quadrature(lambda t: np.interp(t, nodes, prev),
-                                        s.alpha, nodes[inner], X=float(X),
-                                        max_refine=0, n0=256, mesh=mesh)
+        cur[at] = jumarie_quadrature(lambda t: np.interp(t, nodes, prev),
+                                     s.alpha, nodes[at], X=X,
+                                     max_refine=0, n0=256, mesh=mesh)
         good = ~np.isnan(cur)
         cur[~good] = np.interp(nodes[~good], nodes[good], cur[good])
         levels.append(cur)
@@ -374,10 +397,11 @@ def residual_fractional(s: ClosedFormSolution, o: ReducedOde, *,
         for sym, e in params:
             c *= vals[sym] ** e
         terms.append((c, [(sum(n for _, n in multi), e) for multi, e in factors]))
+    pts = _grid_points(grid)
     nodes, levels = _fractional_levels(
-        s, max([0] + [j for _, fs in terms for j, _ in fs]), X)
+        s, max([0] + [j for _, fs in terms for j, _ in fs]), X, pts)
     res = []
-    at_levels = [np.interp(_grid_points(grid), nodes, level).tolist() for level in levels]
+    at_levels = [np.interp(pts, nodes, level).tolist() for level in levels]
     for at in zip(*at_levels):
         total = 0.0
         for c, factors in terms:

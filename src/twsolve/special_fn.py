@@ -23,6 +23,9 @@ _ML_TERM_TOL = 1e-16        # the series stops at a term below this share of the
 _QUAD_REL_TOL = 1e-6        # agreement of two quadrature refinements
 _ML_BLOCK = 24              # series terms summed per array step
 _SPLIT = 2.0 ** 27 + 1      # Veltkamp's splitter of a float into two halves
+# sys.getrefcount of an array held only by one local name and the call's
+# argument; CPython 3.14 may borrow such references, so no count is trusted
+_OWNED_REFS = 2 if sys.implementation.name == "cpython" and sys.version_info < (3, 14) else 0
 
 
 class DomainGuardExceeded(ValueError):
@@ -318,16 +321,13 @@ class JumarieMesh:
     live: np.ndarray        # the unit row's cells that add to the integral
 
 
-def _build_mesh(alpha: float, xs, X, n: int, h) -> JumarieMesh:
-    """Nodes and weights of int_0^y (y-s)^(-alpha) (f(s)-f(0)) ds for
-    f piecewise linear on the graded nodes, at y in {x+h, x-h, x+h/2,
-    x-h/2}.  Node i is y*(1 - c_i), c_i = ((n-i)/n)^g, so y - s_i = y*c_i
-    and the integral is y^(1-alpha) sum_i w_i (f_i - f_0), w_i = A_i +
-    B_(i-1)/d_(i-1) - B_i/d_i, A and B the exact integrals and d the widths
-    of the unit row's cells.  g <= 4 and c_(n-1) >= 2^-52 keep the rounded
-    nodes distinct and below y.  Every power is libm's pow on a Python
-    float: numpy's SIMD `**` may differ in the last bit on another CPU."""
-    ys = np.concatenate((xs + h, xs - h, xs + h / 2, xs - h / 2))
+@functools.lru_cache(maxsize=8)
+def _unit_row(alpha: float, n: int):
+    """(1 - c, w, live) of the unit row of n cells, read-only: the nodes'
+    shares 1 - c_i of y, the n + 1 sample weights and the cells of nonzero
+    width.  An entry is 17n + 16 bytes, about half the nodes of a one-point
+    mesh of that n: 8 entries take 35 KB at the residual's n = 256 and
+    4.5 MB at the default refinement's last n = 32768."""
     g = min(2.0 / (1.0 - alpha), 4.0, 52.0 / math.log2(max(n, 2)))
     oma, tma = 1.0 - alpha, 2.0 - alpha
     c = [((n - i) / n) ** g for i in range(n + 1)]
@@ -338,17 +338,46 @@ def _build_mesh(alpha: float, xs, X, n: int, h) -> JumarieMesh:
     live = d > 0.0                  # a cell of zero width adds 0
     r = np.divide(B, d, out=np.zeros(n), where=live)
     w = np.append(np.where(live, A, 0.0) - r, 0.0) + np.append(0.0, r)
-    scale = np.array([v ** oma for v in ys.tolist()])
-    return JumarieMesh(alpha, xs, X, n, h, ys[:, None] * (1.0 - np.array(c)), scale, w, live)
+    row = (1.0 - np.array(c), w, live)
+    for a in row:
+        a.flags.writeable = False
+    return row
+
+
+def _build_mesh(alpha: float, xs, X, n: int, h) -> JumarieMesh:
+    """Nodes and weights of int_0^y (y-s)^(-alpha) (f(s)-f(0)) ds for
+    f piecewise linear on the graded nodes, at y in {x+h, x-h, x+h/2,
+    x-h/2}.  Node i is y*(1 - c_i), c_i = ((n-i)/n)^g, so y - s_i = y*c_i
+    and the integral is y^(1-alpha) sum_i w_i (f_i - f_0), w_i = A_i +
+    B_(i-1)/d_(i-1) - B_i/d_i, A and B the exact integrals and d the widths
+    of the unit row's cells, which `_unit_row` keeps per (alpha, n).
+    g <= 4 and c_(n-1) >= 2^-52 keep the rounded nodes distinct and below
+    y.  Every power is libm's pow on a Python float: numpy's SIMD `**` may
+    differ in the last bit on another CPU."""
+    ys = np.concatenate((xs + h, xs - h, xs + h / 2, xs - h / 2))
+    share, w, live = _unit_row(alpha, n)
+    scale = np.array([v ** (1.0 - alpha) for v in ys.tolist()])
+    return JumarieMesh(alpha, xs, X, n, h, ys[:, None] * share, scale, w, live)
 
 
 def _estimate(mesh: JumarieMesh, f):
     """The Richardson-extrapolated central difference of the inner
     integrals at every point of the mesh.  f is sampled once, on the nodes
-    of every row together.  A row is its scale times its weighted samples'
-    sum by numpy's pairwise reduce, whose order, unlike BLAS's, is fixed."""
-    fx = np.broadcast_to(f(mesh.s), mesh.s.shape)
-    cells = fx - fx[:, :1]
+    of every row together.  Samples that only this call holds (a float
+    array of the nodes' shape that owns its data and has no other
+    reference, the test numpy's own temporary elision makes) become the
+    cells in place; any other result is copied first.  A row is its scale
+    times its weighted samples' sum by numpy's pairwise reduce, whose
+    order, unlike BLAS's, is fixed."""
+    fx = f(mesh.s)
+    if (type(fx) is np.ndarray and sys.getrefcount(fx) == _OWNED_REFS
+            and fx.base is None and fx.shape == mesh.s.shape
+            and fx.dtype == np.float64 and fx.flags.writeable):
+        fx -= fx[:, :1].copy()      # the view itself would make numpy copy all of fx
+        cells = fx
+    else:
+        fx = np.broadcast_to(fx, mesh.s.shape)
+        cells = fx - fx[:, :1]
     cells *= mesh.w
     ints = (np.add.reduce(cells, axis=1) * mesh.scale).reshape(4, -1)
     d1 = (ints[0] - ints[1]) / (2 * mesh.h)
@@ -386,6 +415,9 @@ def jumarie_quadrature(f, alpha: float, xs, X=None,
     a 1-D array, as an array: (1/Gamma(1-alpha)) d/dx int_0^x (x-s)^(-alpha)
     (f(s)-f(0)) ds.  f maps an ndarray of points to their values and is
     called once per estimate, on the meshes of all the points it serves.
+    An array f returns and keeps no reference to is the estimate's to
+    overwrite; an array f keeps, a view, a broadcast or a scalar is copied,
+    and f never sees its values change.
 
     The inner integral uses product integration (piecewise-linear f against
     the exact kernel) on a mesh graded toward the singularity; the outer

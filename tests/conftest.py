@@ -1,6 +1,10 @@
 """Shared pipeline helpers for the test suite."""
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from twsolve import parse_pde, pipeline
@@ -19,6 +23,20 @@ BSQ_FRAC_DSL = ("pde boussinesq4 vars(x,t) params() frac(alpha) : "
                 "u_{t:2} = u_{x:2} + 3*(u^2)_{x:2} + u_{x:4}")
 
 INTEGRATE_TIMES = {"toy": 0, "sww": 1, "kp": 2, "boussinesq4": 2}
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def load_perfbench(name: str, monkeypatch):
+    """perfbench/<name>.py as a module (perfbench is a directory of scripts,
+    not a package), in sys.modules for the test's duration so that its
+    dataclasses resolve."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_pipeline(dsl: str, integrate: int = 0, profile=None):

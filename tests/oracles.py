@@ -3,10 +3,12 @@ sympy solver for coefficient systems, the Jumarie quadrature as a scalar
 loop, the Mittag-Leffler fallback on mpmath's number objects, and the
 float and double-double series, the Mittag-Leffler tiers at one z, the
 generalized functions, phi and the pole distance of a closed-form solution
-as the scalar per-point code they replaced, and the substitution of a
-solved value into a coefficient row as the per-row formula that the
-branch step's power tables replaced.  None is part of twsolve; each
-checks one of its exact, vectorised or raw paths.
+as the scalar per-point code they replaced, the fractional residual's
+derivative levels at every inner dense node, as the loop that the last
+level's read nodes replaced, and the substitution of a solved value into a
+coefficient row as the per-row formula that the branch step's power tables
+replaced.  None is part of twsolve; each checks one of its exact,
+vectorised or raw paths.
 `riccati_probe` measures how far a closed-form phi is from solving the
 fractional Riccati equation, the reference for a certificate of the
 fractional sub-equation method.  sympy is imported inside the two
@@ -28,7 +30,7 @@ from twsolve.solution_verify import (
 from twsolve.special_fn import (
     _FALLBACK_DIGITS, _FLOAT_REL_TOL, _ML_TERM_TOL, _POLE_TOL, _SPLIT,
     DEFAULT_GUARD, GENERALIZED_FN_NAMES, DomainGuardExceeded, PoleAt,
-    _gamma_1p, _inv_gamma, _ml_fallback, jumarie_quadrature,
+    _gamma_1p, _inv_gamma, _ml_fallback, jumarie_mesh, jumarie_quadrature,
 )
 
 
@@ -402,6 +404,30 @@ def per_point_u(s, xis) -> np.ndarray:
             total = total * p + float(a)
         out.append(total)
     return np.array(out)
+
+
+def all_node_levels(s, max_j, X):
+    """The fractional residual's derivative levels with each one, the last
+    too, taken at every inner dense node on the one mesh of those nodes:
+    the reference that `_fractional_levels`, which takes the last level
+    only at the nodes a grid reads, must match bit for bit wherever the
+    grid reads it."""
+    delta = X / 100.0
+    nodes = np.linspace(delta, X, 97)
+    levels = [_no_pole(nodes, s.u_on(nodes))]
+    margin = 2.0 * (nodes[1] - nodes[0])
+    inner = (nodes > margin) & (nodes < X - margin)
+    mesh = jumarie_mesh(s.alpha, nodes[inner], X=float(X), n0=256) if max_j else None
+    for _ in range(max_j):
+        prev = levels[-1]
+        cur = np.full_like(prev, np.nan)
+        cur[inner] = jumarie_quadrature(lambda t: np.interp(t, nodes, prev),
+                                        s.alpha, nodes[inner], X=float(X),
+                                        max_refine=0, n0=256, mesh=mesh)
+        good = ~np.isnan(cur)
+        cur[~good] = np.interp(nodes[~good], nodes[good], cur[good])
+        levels.append(cur)
+    return nodes, levels
 
 
 class FamilyMismatch(ValueError):

@@ -1,8 +1,7 @@
 """End-to-end CLI behavior: solve, verify, figure, tabulate, determinism."""
-import importlib.util
+import ast
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -10,7 +9,7 @@ from twsolve import cli, parse_pde
 from twsolve.cli import main
 from twsolve.pipeline import run
 
-from conftest import BSQ_FRAC_DSL, KP_FRAC_DSL, SWW_FRAC_DSL
+from conftest import BSQ_FRAC_DSL, KP_FRAC_DSL, PERFBENCH, SWW_FRAC_DSL, load_perfbench
 
 TOY = "pde toy vars(x,t) params() : u_xx = u*u_t"
 TOY_FRAC = "pde toy vars(x,t) params() frac(alpha) : u_{x:2} = u*u_{t:1}"
@@ -107,9 +106,10 @@ def test_verify_fractional_fails_on_violated_constraint(capsys):
 
 
 def test_fractional_verify_samples_each_integrand_once(capsys, monkeypatch):
-    """Each derivative level is one array quadrature over all its nodes,
-    which samples its integrand once, on the meshes of every node and
-    difference offset together: kp has two levels."""
+    """Each derivative level is one array quadrature, over all the inner
+    nodes or, for the last level, over the inner nodes that the grid's
+    points read, and it samples its integrand once, on the meshes of every
+    node and difference offset together: kp has two levels."""
     from twsolve import solution_verify
     quadrature = solution_verify.jumarie_quadrature
     calls = {"quadrature": 0, "integrand": 0}
@@ -142,14 +142,6 @@ TRACED_COMMANDS = (
 )
 
 
-def load_tracing():
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
-
-
 def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
                                                             monkeypatch):
     """The benchmark's traced run wraps mittag_leffler (hashing its alpha and
@@ -157,7 +149,7 @@ def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
     its first positional argument); every call of the fractional, figure,
     symbolic and tabulate commands must pass through those wrappers
     unharmed, with output bytes equal to an untraced run."""
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing", monkeypatch)
     monkeypatch.chdir(tmp_path)
 
     def run_all():
@@ -188,13 +180,13 @@ def test_fractional_commands_run_under_the_benchmark_tracer(capsys, tmp_path,
     ("figure", "2", "--alphas", "0.7", "--xgrid=-1:1:5", "--tgrid", "0:0.1:2"),
     ("verify", "kp", "--method", "subeq", "--alpha", "0.6", "--sigma", "1"),
 ])
-def test_a_grid_is_one_traced_call_of_each_layer(capsys, argv):
+def test_a_grid_is_one_traced_call_of_each_layer(capsys, monkeypatch, argv):
     """The figure sheet's distinct xi, or the fractional residual's dense
     nodes, are one call of ClosedFormSolution.phi and of generalized_fn,
     and one mittag_leffler call per series (two for the Tanh family, one
     for Tan): the layers the benchmark's traced runs require are reached,
     with arguments its tracer can hash."""
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing", monkeypatch).Tracer()
     tracer.install()
     try:
         _, out = run_cli(capsys, *argv)
@@ -208,6 +200,40 @@ def test_a_grid_is_one_traced_call_of_each_layer(capsys, argv):
     assert calls == {"ClosedFormSolution.phi": 1, "generalized_fn": 1,
                      "mittag_leffler": series}
     assert not +tracer.errors
+
+
+def required_nonzero():
+    """REQUIRED_NONZERO of perfbench/worker.py, read from its source: the
+    worker imports the benchmark's other scripts by their bare names."""
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["REQUIRED_NONZERO"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/worker.py assigns no REQUIRED_NONZERO")
+
+
+@pytest.mark.parametrize("workload", sorted(required_nonzero()))
+def test_a_workload_reaches_every_layer_its_traced_run_requires(
+        capsys, tmp_path, monkeypatch, workload):
+    """A traced benchmark run is not correct when a layer that
+    REQUIRED_NONZERO names for its workload has no calls.  The first twelve
+    ops of the workload's first round (a whole symbolic or figure round),
+    run under the benchmark's tracer, reach every one of those layers, so
+    a change that bypasses one fails here and not only in the benchmark."""
+    workloads = load_perfbench("workloads", monkeypatch)
+    tracer = load_perfbench("tracing", monkeypatch).Tracer()
+    ops = next(workloads.rounds(workload, 901, str(tmp_path)))[:12]
+    tracer.install()
+    try:
+        for op in ops:
+            cli.main(list(op.argv))         # through the module, as the worker calls it
+            out = capsys.readouterr().out
+            assert not out.startswith('{"error"'), (op.argv, out)
+    finally:
+        tracer.uninstall()
+    layers = tracer.metrics()
+    assert [name for name in required_nonzero()[workload] if not layers[name][0]] == []
 
 
 @pytest.mark.parametrize("command", ["verify", "solve"])

@@ -2,18 +2,17 @@
 `RationalFn` keeps, and the int-or-Fraction coefficients every `Poly`
 stores, on random polynomials and on the pipeline's own traffic."""
 import dataclasses
-import importlib.util
-import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twsolve import cli, pipeline
 from twsolve.rational_poly import Poly, RationalFn, _mono_sort_key, monomial_content
+
+from conftest import load_perfbench
 
 SYMBOLS = ("a", "b", "k")
 monos = st.dictionaries(st.sampled_from(SYMBOLS), st.integers(1, 3)) \
@@ -136,20 +135,11 @@ def _polys_in(obj):
             yield from _polys_in(item)
 
 
-def _load_workloads(monkeypatch):
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def test_pipeline_traffic_keeps_the_coefficient_normal_form(capsys, monkeypatch):
     """On the registry keys (tanh and subeq) and one round of the benchmark's
     symbolic corpus, every Poly of every stage, branch and constraint keeps
     int-or-nonintegral-Fraction coefficients."""
-    workloads = _load_workloads(monkeypatch)
+    workloads = load_perfbench("workloads", monkeypatch)
     results = []
 
     def recording_run(*args):

@@ -6,20 +6,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twsolve import (
     ClosedFormSolution, DenominatorZero, PoleAt, SubEquationProfile,
     construct_solutions, mittag_leffler, residual_fractional, residual_ode,
     residual_pde,
 )
-from twsolve.solution_verify import _fractional_levels
+from twsolve import solution_verify
+from twsolve.solution_verify import FRACTIONAL_GRID, _fractional_levels, _grid_points
 
 import oracles
 from oracles import (
     FamilyMismatch, per_point_phi, per_point_u, riccati_probe, scalar_phi,
     scalar_quadrature,
 )
-from conftest import run_pipeline, BSQ_DSL, BSQ_FRAC_DSL
+from conftest import run_pipeline, BSQ_DSL, BSQ_FRAC_DSL, KP_FRAC_DSL
 
 CLASSICAL = SubEquationProfile.classical_tanh()
 BSQ_C = 5 ** 0.5        # dispersion relation c^2 = k^2 + 4 k^4 at k = 1
@@ -342,9 +344,8 @@ def test_fractional_levels_are_the_per_node_loop(family, sigma, alpha):
         assert np.max(np.abs(level - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
-def test_fractional_levels_weigh_one_mesh(monkeypatch):
-    """Every derivative level applies the one mesh that _fractional_levels
-    builds (test_fractional_levels_are_the_per_node_loop pins the values)."""
+def count_meshes(monkeypatch):
+    """The list that every later _build_mesh call appends its arguments to."""
     from twsolve import special_fn
     build = special_fn._build_mesh
     built = []
@@ -354,9 +355,105 @@ def test_fractional_levels_weigh_one_mesh(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(special_fn, "_build_mesh", counted)
+    return built
+
+
+def test_fractional_levels_weigh_one_mesh(monkeypatch):
+    """Without the points the levels will be read at, every derivative
+    level is taken at all the inner nodes and applies the one mesh that
+    _fractional_levels builds (test_fractional_levels_are_the_per_node_loop
+    pins the values); a residual passes its grid, whose reads give the
+    last level a mesh of its own."""
+    built = count_meshes(monkeypatch)
     _, levels = _fractional_levels(generalized("Tan", 1, 0.6), 3, 5.0)
     assert len(levels) == 4
     assert len(built) == 1
+
+
+BURGERS_FRAC_DSL = ("pde burgers vars(x,t) params() frac(alpha) : "
+                    "u_{t:1} + u*u_{x:1} = u_{x:2}")
+
+
+@pytest.mark.parametrize("dsl, integrate, levels, meshes", [
+    (KP_FRAC_DSL, 2, 2, 2), (BURGERS_FRAC_DSL, 1, 1, 1)])
+def test_a_residual_builds_one_mesh_per_node_set(monkeypatch, dsl, integrate,
+                                                 levels, meshes):
+    """On the default grid a residual weighs one mesh of all the inner
+    nodes for the levels before the last, and one of the nodes the grid
+    reads for the last (30 of the 92): kp's two levels take two meshes,
+    and the one level of fractional Burgers takes one, of those 30 nodes."""
+    frac = run_pipeline(dsl, integrate=integrate)
+    s, _ = tanh_solution(frac, {"k_a": 1.0, "c_a": 0.5, "m_a": 1.0},
+                         alpha=0.8, sigma=-1)
+    taken = []
+    monkeypatch.setattr(solution_verify, "_fractional_levels",
+                        lambda *args: taken.append(args[1]) or _fractional_levels(*args))
+    built = count_meshes(monkeypatch)
+    residual_fractional(s, frac.ode)
+    assert taken == [levels]
+    assert len(built) == meshes
+    assert [len(args[1]) for args in built] == [92] * (meshes - 1) + [30]
+
+
+def sww_solution(sww_frac, family, sigma, alpha):
+    sols = sww_frac.solutions(sww_frac.branches[0],
+                              {"k_a": 1.0, "m_a": 1.0, "c_a": 3.0 ** alpha, "p": 1.0, "q": 1.0},
+                              alpha=alpha, sigma=sigma)
+    return next(s for s in sols if s.family == family)
+
+
+@st.composite
+def reads(draw):
+    """A (lo, hi, n) grid that the residual accepts, whose lo is a dense
+    node of X = 1.25*hi half the time, and up to three more points in
+    [0, 1.2 X], margins and ends included, some of them dense nodes."""
+    hi, n = draw(st.floats(0.01, 6.0)), draw(st.integers(1, 40))
+    nodes = np.linspace(1.25 * hi / 100.0, 1.25 * hi, 97).tolist()
+    lo = draw(st.sampled_from(nodes[:77])                       # nodes[76] < hi
+              | st.floats(1e-3, 1.0).map(hi.__mul__))
+    extra = st.sampled_from(nodes) | st.floats(0.0, 1.5 * hi)
+    return (lo, hi, n), draw(st.lists(extra, max_size=3))
+
+
+NODES_5 = np.linspace(0.05, 5.0, 97).tolist()    # the dense nodes of hi = 4
+
+
+@pytest.mark.parametrize("family, sigma", [("Tanh", -1), ("Tan", 1)])
+@pytest.mark.parametrize("alpha", [0.6, 0.9])
+@settings(max_examples=12, deadline=None)
+@example(case=(FRACTIONAL_GRID, []))
+@example(case=((0.001, 4.0, 15), []))
+@example(case=((4.0, 4.0, 3), []))
+@example(case=((1.0, 1.0, 1), []))
+@example(case=((0.0625, 5.0, 17), []))                  # lo on the first dense node
+@example(case=((NODES_5[1], 4.0, 15), [NODES_5[2], NODES_5[93], NODES_5[94]]))
+@example(case=((NODES_5[40], 4.0, 9), [0.0, 4.95, 5.0, 6.0]))
+@given(case=reads())
+def test_the_last_level_where_the_grid_reads_it_is_the_all_node_loop(
+        sww_frac, family, sigma, alpha, case):
+    """The residual takes its last level only at the inner nodes its grid's
+    points read, yet reports what the all-node loop does, bit for bit, and
+    so do the levels at any other read points (`extra`)."""
+    grid, extra = case
+    s = sww_solution(sww_frac, family, sigma, alpha)
+
+    def all_nodes(s, max_j, X, pts):
+        return oracles.all_node_levels(s, max_j, X)
+
+    got = residual_fractional(s, sww_frac.ode, grid=grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solution_verify, "_fractional_levels", all_nodes)
+        want = residual_fractional(s, sww_frac.ode, grid=grid)
+    assert got == want
+    assert np.array([got.max_abs, got.mean_abs]).tobytes() == \
+        np.array([want.max_abs, want.mean_abs]).tobytes()
+    X = 1.25 * grid[1]
+    pts = np.concatenate((_grid_points(grid), extra))
+    nodes, levels = _fractional_levels(s, 3, X, pts)
+    _, ref = oracles.all_node_levels(s, 3, X)
+    for level, want_level in zip(levels, ref):
+        assert np.interp(pts, nodes, level).tobytes() == \
+            np.interp(pts, nodes, want_level).tobytes()
 
 
 @pytest.mark.parametrize("family, sigma, omega", [
