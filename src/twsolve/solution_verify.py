@@ -345,17 +345,18 @@ def _read_nodes(nodes, inner, pts):
     return inner & read
 
 
-def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float, pts=None):
-    """levels[j][i] ~ u^{(j*alpha)} at the dense nodes; each level is one
-    array Jumarie quadrature, over every node more than two spacings from
-    either end, of the interpolant of the previous level, and the levels
+def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float, pts):
+    """levels[j][i] ~ u^{(j*alpha)} at the dense nodes, to be read by
+    np.interp at the points `pts`; each level is one array Jumarie
+    quadrature, over every node more than two spacings from either end, of
+    the interpolant of the previous level, and the levels before the last
     apply one quadrature mesh built here.  The nodes within that margin
     take the level at the nearest node outside it (np.interp clamps at the
-    ends).  Given the points `pts` at which np.interp will read the levels,
-    the last level is taken, on a mesh of its own, only at the inner nodes
-    those reads use (`_read_nodes`), and its other nodes are filled as the
-    margin is: every value read is the one the whole level would give,
-    since each node's quadrature does not depend on the others."""
+    ends).  The last level is taken only at the inner nodes the reads of
+    `pts` use (`_read_nodes`), on a mesh of its own unless those are all
+    the inner nodes, and its other nodes are filled as the margin is:
+    every value read is the one the whole level would give, since each
+    node's quadrature does not depend on the others."""
     delta = X / 100.0
     nodes = np.linspace(delta, X, 97)
     levels = [_no_pole(nodes, s.u_on(nodes))]
@@ -363,7 +364,7 @@ def _fractional_levels(s: ClosedFormSolution, max_j: int, X: float, pts=None):
     inner = (nodes > margin) & (nodes < X - margin)
     X = float(X)
     ats = [inner] * max_j
-    if max_j and pts is not None:
+    if max_j:
         ats[-1] = _read_nodes(nodes, inner, pts)
     for j, at in enumerate(ats):
         if not j or not np.array_equal(at, ats[j - 1]):

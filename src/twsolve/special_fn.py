@@ -321,13 +321,10 @@ class JumarieMesh:
     live: np.ndarray        # the unit row's cells that add to the integral
 
 
-@functools.lru_cache(maxsize=8)
 def _unit_row(alpha: float, n: int):
     """(1 - c, w, live) of the unit row of n cells, read-only: the nodes'
     shares 1 - c_i of y, the n + 1 sample weights and the cells of nonzero
-    width.  An entry is 17n + 16 bytes, about half the nodes of a one-point
-    mesh of that n: 8 entries take 35 KB at the residual's n = 256 and
-    4.5 MB at the default refinement's last n = 32768."""
+    width, 17n + 16 bytes in all."""
     g = min(2.0 / (1.0 - alpha), 4.0, 52.0 / math.log2(max(n, 2)))
     oma, tma = 1.0 - alpha, 2.0 - alpha
     c = [((n - i) / n) ** g for i in range(n + 1)]
@@ -344,18 +341,25 @@ def _unit_row(alpha: float, n: int):
     return row
 
 
-def _build_mesh(alpha: float, xs, X, n: int, h) -> JumarieMesh:
+# the unit rows of `jumarie_mesh`, which the residual asks for again at
+# every call: at most 8 * (17 n0 + 16) bytes, 35 KB at its n0 = 256.  The
+# refinements' rows are not kept: an adaptive call takes 9 sizes in turn,
+# more than the cache holds, so the next call would find none of them
+_mesh_row = functools.lru_cache(maxsize=8)(_unit_row)
+
+
+def _build_mesh(alpha: float, xs, X, n: int, h, row) -> JumarieMesh:
     """Nodes and weights of int_0^y (y-s)^(-alpha) (f(s)-f(0)) ds for
     f piecewise linear on the graded nodes, at y in {x+h, x-h, x+h/2,
     x-h/2}.  Node i is y*(1 - c_i), c_i = ((n-i)/n)^g, so y - s_i = y*c_i
     and the integral is y^(1-alpha) sum_i w_i (f_i - f_0), w_i = A_i +
     B_(i-1)/d_(i-1) - B_i/d_i, A and B the exact integrals and d the widths
-    of the unit row's cells, which `_unit_row` keeps per (alpha, n).
+    of the unit row's cells: `row`, the `_unit_row` of (alpha, n).
     g <= 4 and c_(n-1) >= 2^-52 keep the rounded nodes distinct and below
     y.  Every power is libm's pow on a Python float: numpy's SIMD `**` may
     differ in the last bit on another CPU."""
     ys = np.concatenate((xs + h, xs - h, xs + h / 2, xs - h / 2))
-    share, w, live = _unit_row(alpha, n)
+    share, w, live = row
     scale = np.array([v ** (1.0 - alpha) for v in ys.tolist()])
     return JumarieMesh(alpha, xs, X, n, h, ys[:, None] * share, scale, w, live)
 
@@ -406,7 +410,7 @@ def jumarie_mesh(alpha: float, xs, X=None, n0: int = 64) -> JumarieMesh:
     X, n0=n0)`: pass it to such calls as `mesh=` to weigh the kernel once
     for several integrands on the same points."""
     xs, X, h = _points(alpha, xs, X)
-    return _build_mesh(alpha, xs, X, n0, h)
+    return _build_mesh(alpha, xs, X, n0, h, _mesh_row(alpha, n0))
 
 
 def jumarie_quadrature(f, alpha: float, xs, X=None,
@@ -416,8 +420,9 @@ def jumarie_quadrature(f, alpha: float, xs, X=None,
     (f(s)-f(0)) ds.  f maps an ndarray of points to their values and is
     called once per estimate, on the meshes of all the points it serves.
     An array f returns and keeps no reference to is the estimate's to
-    overwrite; an array f keeps, a view, a broadcast or a scalar is copied,
-    and f never sees its values change.
+    overwrite (on CPython 3.10 to 3.13; elsewhere every result is copied);
+    an array f keeps, a view, a broadcast or a scalar is copied, and f
+    never sees its values change.
 
     The inner integral uses product integration (piecewise-linear f against
     the exact kernel) on a mesh graded toward the singularity; the outer
@@ -430,7 +435,7 @@ def jumarie_quadrature(f, alpha: float, xs, X=None,
     estimate; the result is the same, bit for bit."""
     xs, X, h = _points(alpha, xs, X)
     if mesh is None:
-        mesh = _build_mesh(alpha, xs, X, n0, h)
+        mesh = _build_mesh(alpha, xs, X, n0, h, _unit_row(alpha, n0))
     elif (mesh.alpha != alpha or mesh.n != n0 or not np.array_equal(mesh.x, xs)
           or not np.array_equal(mesh.X, X)):
         raise ValueError("the mesh was built for another alpha, x, X or n0")
@@ -440,7 +445,7 @@ def jumarie_quadrature(f, alpha: float, xs, X=None,
     out, live, n = np.empty(len(xs)), np.arange(len(xs)), n0
     for _ in range(max_refine):
         n, h = 2 * n, h / 2
-        cur = _estimate(_build_mesh(alpha, xs[live], X, n, h), f)
+        cur = _estimate(_build_mesh(alpha, xs[live], X, n, h, _unit_row(alpha, n)), f)
         done = np.abs(cur - prev) <= _QUAD_REL_TOL * np.maximum(np.abs(cur), 1.0)
         out[live[done]] = cur[done]
         live, prev, h = live[~done], cur[~done], h[~done]

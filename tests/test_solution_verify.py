@@ -209,6 +209,12 @@ def test_fractional_residual_refuses_a_grid_it_cannot_measure():
     assert math.isfinite(residual_fractional(s, frac.ode, grid=(2.0, 2.0, 1)).max_abs)
 
 
+def every_node(X):
+    """The dense nodes of a fractional residual of extent X: read there, the
+    last level too is taken at every inner node."""
+    return np.linspace(X / 100.0, X, 97)
+
+
 @pytest.mark.parametrize("alpha, bounds", [
     (0.5, (8.9e-2, 7.9e-2, 3.1e-1)),
     (0.7, (3.8e-2, 2.3e-2, 2.7e-1)),
@@ -222,7 +228,7 @@ def test_fractional_levels_accuracy_on_jumarie_fixed_point(alpha, bounds):
         return mittag_leffler(alpha, tuple(float(xi) ** alpha for xi in xis))
 
     s = SimpleNamespace(alpha=alpha, u_on=u_on)
-    nodes, levels = _fractional_levels(s, 3, 5.0)
+    nodes, levels = _fractional_levels(s, 3, 5.0, every_node(5.0))
     inside = (nodes > 0.5) & (nodes < 4.0)
     u = s.u_on(nodes[inside])
     for level, bound in zip(levels[1:], bounds):
@@ -297,7 +303,7 @@ def test_a_pole_on_a_fractional_grid_is_refused_at_its_xi():
     s = ClosedFormSolution("Rational", "alphaGeneralized", (Fraction(0), Fraction(1)),
                            sigma=Fraction(0), omega=-1.0, alpha=0.8)
     with pytest.raises(PoleAt, match=r"^pole at x = 1\.0$"):
-        _fractional_levels(s, 1, 100.0)
+        _fractional_levels(s, 1, 100.0, every_node(100.0))
     with pytest.raises(PoleAt, match=r"^pole at x = 1\.0$"):
         riccati_probe(s, grid=(0.5, 1.5, 3))
 
@@ -336,7 +342,7 @@ def generalized(family, sigma, alpha):
 @pytest.mark.parametrize("alpha", [0.6, 0.9])
 def test_fractional_levels_are_the_per_node_loop(family, sigma, alpha):
     s = generalized(family, sigma, alpha)
-    nodes, levels = _fractional_levels(s, 3, 5.0)
+    nodes, levels = _fractional_levels(s, 3, 5.0, every_node(5.0))
     want_nodes, want = per_node_levels(s, 3, 5.0)
     assert nodes.tobytes() == want_nodes.tobytes()
     assert len(levels) == len(want) == 4
@@ -359,13 +365,14 @@ def count_meshes(monkeypatch):
 
 
 def test_fractional_levels_weigh_one_mesh(monkeypatch):
-    """Without the points the levels will be read at, every derivative
-    level is taken at all the inner nodes and applies the one mesh that
-    _fractional_levels builds (test_fractional_levels_are_the_per_node_loop
-    pins the values); a residual passes its grid, whose reads give the
-    last level a mesh of its own."""
+    """Read at every dense node, each derivative level is taken at all the
+    inner nodes and applies the one mesh that _fractional_levels builds
+    (test_fractional_levels_are_the_per_node_loop pins the values); a
+    residual's grid reads fewer nodes, and gives the last level a mesh of
+    its own."""
     built = count_meshes(monkeypatch)
-    _, levels = _fractional_levels(generalized("Tan", 1, 0.6), 3, 5.0)
+    _, levels = _fractional_levels(generalized("Tan", 1, 0.6), 3, 5.0,
+                                   every_node(5.0))
     assert len(levels) == 4
     assert len(built) == 1
 
@@ -415,7 +422,7 @@ def reads(draw):
     return (lo, hi, n), draw(st.lists(extra, max_size=3))
 
 
-NODES_5 = np.linspace(0.05, 5.0, 97).tolist()    # the dense nodes of hi = 4
+NODES_5 = every_node(5.0).tolist()    # the dense nodes of hi = 4
 
 
 @pytest.mark.parametrize("family, sigma", [("Tanh", -1), ("Tan", 1)])

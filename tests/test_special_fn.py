@@ -618,6 +618,19 @@ def test_quadrature_mesh_serves_every_integrand(alpha):
     assert got.tobytes() == jumarie_quadrature(f, alpha, xs, X=5.0, n0=256).tobytes()
 
 
+def test_only_a_given_mesh_keeps_its_unit_row():
+    """The unit row of a `jumarie_mesh` is cached and shared, read-only, by
+    the next mesh of that alpha and n0; an adaptive call's rows, nine sizes
+    that the next call would not find again, stay out of that cache."""
+    special_fn._mesh_row.cache_clear()
+    jumarie_quadrature(INTEGRANDS["cubic"], 0.7, np.array([1.0, 2.0]), X=5.0)
+    assert special_fn._mesh_row.cache_info().currsize == 0
+    a = jumarie_mesh(0.7, np.array([1.0]), X=5.0, n0=256)
+    b = jumarie_mesh(0.7, np.array([2.0, 3.0]), X=5.0, n0=256)
+    assert a.w is b.w and not a.w.flags.writeable
+    assert special_fn._mesh_row.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
 def test_quadrature_leaves_the_arrays_an_integrand_keeps(alpha):
     """The samples become the cells in place only when the integrand keeps
@@ -643,6 +656,9 @@ def test_quadrature_leaves_the_arrays_an_integrand_keeps(alpha):
         assert (jumarie_quadrature(const, alpha, xs, X=5.0, max_refine=0) == 0.0).all()
 
 
+@pytest.mark.skipif(special_fn._OWNED_REFS == 0,
+                    reason="no reference count to trust on this interpreter: every "
+                           "estimate copies its samples")
 def test_an_estimate_holds_one_sample_array():
     """The integrand's fresh samples are the estimate's cells: at its peak
     a single-shot estimate on a given mesh holds 1.5 times the nodes'
